@@ -26,14 +26,12 @@ from .model import (
 from .payoff import (
     ConditionalScenarioTable,
     PayoffEngine,
-    StrictCdfTable,
     all_payoff_curves,
     brute_force_payoff,
     conditional_scenarios,
     expected_payoff,
     mixed_payoff,
     payoff_curve,
-    strict_cdf,
 )
 from .solver import (
     INIT_UNIFORM,
@@ -41,9 +39,6 @@ from .solver import (
     LearningSchedule,
     SolverConfig,
     SolverResult,
-    best_response,
-    classical_fp_mode,
-    fb_step,
     run,
 )
 from .verify import EquilibriumCertificate, cdf_distance, certificate_to_json, certify
@@ -87,14 +82,11 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "StrategyProfile",
-    "StrictCdfTable",
     "all_payoff_curves",
-    "best_response",
     "brute_force_payoff",
     "cdf_distance",
     "certificate_to_json",
     "certify",
-    "classical_fp_mode",
     "conditional_scenarios",
     "convert_player_to_agent",
     "example_1",
@@ -103,7 +95,6 @@ __all__ = [
     "example_4",
     "example_5",
     "expected_payoff",
-    "fb_step",
     "fixture_path",
     "get_example",
     "instance_from_dict",
@@ -116,6 +107,5 @@ __all__ = [
     "random_instance",
     "run",
     "save_instance",
-    "strict_cdf",
     "validate_instance",
 ]

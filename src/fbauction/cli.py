@@ -36,11 +36,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_strategies_csv(path: Path, instance: AuctionInstance, profile: StrategyProfile) -> None:
+    weights = profile.weights
+    cdf = np.cumsum(weights, axis=1)
     lines = ["agent_id,bid,pdf,cdf"]
-    for a, strategy in enumerate(profile.strategies):
-        cdf = strategy.cdf()
+    for a in range(profile.n_agents):
         for j, bid in enumerate(instance.grid.bids):
-            lines.append(f"{a},{_fmt(bid)},{_fmt(strategy.weights[j])},{_fmt(cdf[j])}")
+            lines.append(f"{a},{_fmt(bid)},{_fmt(weights[a, j])},{_fmt(cdf[a, j])}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -54,29 +55,42 @@ def _write_payoffs_csv(path: Path, instance: AuctionInstance, profile: StrategyP
 
 
 def _read_strategies_csv(path: Path, instance: AuctionInstance) -> StrategyProfile:
-    """Rebuild a profile from a strategies.csv, checking it fits the instance."""
-    pdf: dict[int, dict[int, float]] = {}
-    bids = instance.grid.bids
+    """Rebuild a profile from a strategies.csv, checking it fits the instance.
+
+    Every row's bid must lie within 1e-12 of a grid level, and every agent
+    needs exactly one row per grid level.
+    """
+    agents, bids, pdf = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"agent_id", "bid", "pdf"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"strategy file needs columns {sorted(required)}")
         for row in reader:
-            agent = int(row["agent_id"])
-            bid = float(row["bid"])
-            j = int(np.argmin(np.abs(bids - bid)))
-            if abs(bids[j] - bid) > 1e-12:
-                raise ValueError(f"bid {bid} is not on the instance grid")
-            pdf.setdefault(agent, {})[j] = float(row["pdf"])
-    if sorted(pdf) != list(range(instance.n_agents)):
-        raise ValueError(f"expected agents 0..{instance.n_agents - 1}, found {sorted(pdf)}")
-    weights = np.zeros((instance.n_agents, instance.n_bids))
-    for agent, entries in pdf.items():
-        if len(entries) != instance.n_bids:
-            raise ValueError(f"agent {agent} has {len(entries)} grid rows, expected {instance.n_bids}")
-        for j, w in entries.items():
-            weights[agent, j] = w
+            agents.append(int(row["agent_id"]))
+            bids.append(float(row["bid"]))
+            pdf.append(float(row["pdf"]))
+    n, n_bids = instance.n_agents, instance.n_bids
+    grid = instance.grid.bids
+    bids = np.array(bids)
+    # nearest grid level: the one searchsorted lands on or its lower neighbour
+    j = np.clip(np.searchsorted(grid, bids), 1, n_bids - 1)
+    j -= bids - grid[j - 1] <= grid[j] - bids
+    off = ~(np.abs(grid[j] - bids) <= 1e-12)
+    if off.any():
+        raise ValueError(f"bid {bids[off][0]} is not on the instance grid")
+    agents = np.array(agents, dtype=np.intp)
+    found = np.unique(agents).tolist()
+    if found != list(range(n)):
+        raise ValueError(f"expected agents 0..{n - 1}, found {found}")
+    per_level = np.bincount(agents * n_bids + j, minlength=n * n_bids).reshape(n, n_bids)
+    uneven = np.flatnonzero((per_level != 1).any(axis=1))
+    if uneven.size:
+        agent = uneven[0]
+        raise ValueError(f"agent {agent} has {per_level[agent].sum()} rows, "
+                         f"expected one for each of {n_bids} grid levels")
+    weights = np.zeros((n, n_bids))
+    weights[agents, j] = pdf
     return StrategyProfile.from_matrix(weights)
 
 

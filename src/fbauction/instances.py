@@ -56,15 +56,11 @@ class NamedInstance:
     partition: AgentPartition | None = None
 
 
-def _recommended(max_iterations: int, cache: bool = False) -> SolverConfig:
+def _recommended(max_iterations: int) -> SolverConfig:
     # equal-weight averaging of past best replies; measured to reach the
     # expected_epsilon values below, while constant or small-coefficient
     # schedules stall orders of magnitude higher on these instances
-    return SolverConfig(
-        schedule=LearningSchedule.harmonic(1.0),
-        max_iterations=max_iterations,
-        independent_player_cache=cache,
-    )
+    return SolverConfig(schedule=LearningSchedule.harmonic(1.0), max_iterations=max_iterations)
 
 
 def example_1() -> NamedInstance:
@@ -98,7 +94,7 @@ def example_2() -> NamedInstance:
         scenarios=scenarios,
         grid=BidGrid.uniform(1.0, 600),
     )
-    return NamedInstance("example-2", instance, _recommended(1_000_000), expected_epsilon=1.5e-4)
+    return NamedInstance("example-2", instance, _recommended(1_000_000), expected_epsilon=7.45e-4)
 
 
 def example_3() -> NamedInstance:
@@ -128,8 +124,7 @@ def _converted(name: str, players: PlayerAuction, max_iterations: int, expected:
         scenarios=scenarios,
         grid=BidGrid.uniform(top, 400),
     )
-    config = _recommended(max_iterations, cache=True)
-    return NamedInstance(name, instance, config, expected_epsilon=expected, partition=partition)
+    return NamedInstance(name, instance, _recommended(max_iterations), expected_epsilon=expected, partition=partition)
 
 
 def example_4() -> NamedInstance:

@@ -180,6 +180,22 @@ def participation_probabilities(instance: AuctionInstance) -> np.ndarray:
     return out
 
 
+def _probability_rows(weights: np.ndarray, ndim: int) -> np.ndarray:
+    """Read-only copy of ``weights`` after checking every row is a probability vector."""
+    w = _readonly(weights)
+    if w.ndim != ndim or w.size == 0:
+        raise ValueError(f"weights must be a non-empty {ndim}-d array, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be non-negative")
+    totals = w.sum(axis=-1)
+    off = np.abs(totals - 1.0) > PROB_TOL
+    if np.any(off):
+        raise ValueError(f"weights sum to {float(totals[off].flat[0]):.12g}, expected 1")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability vector over the bid grid."""
@@ -187,51 +203,44 @@ class MixedStrategy:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"weights sum to {total:.12g}, expected 1")
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", _probability_rows(np.atleast_1d(self.weights), 1))
 
-    def cdf(self) -> np.ndarray:
-        """Inclusive cumulative distribution at each grid level."""
-        return np.cumsum(self.weights)
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.weights)
+    def __array__(self, dtype=None, copy=None):
+        # lets a sequence of strategies stand in for a profile's weight matrix
+        return np.array(self.weights, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)
 class StrategyProfile:
-    """One mixed strategy per agent, all over the same bid grid."""
+    """One mixed strategy per agent, all over the same bid grid.
 
-    strategies: tuple[MixedStrategy, ...]
+    ``weights`` is a read-only ``(n_agents, n_bids)`` matrix whose rows are
+    probability vectors; a sequence of :class:`MixedStrategy` rows of equal
+    length is accepted in its place.
+    """
+
+    weights: np.ndarray
 
     def __post_init__(self):
-        strats = tuple(self.strategies)
-        if not strats:
-            raise ValueError("profile needs at least one strategy")
-        width = strats[0].weights.size
-        if any(s.weights.size != width for s in strats):
-            raise ValueError("all strategies must live on the same grid")
-        object.__setattr__(self, "strategies", strats)
+        object.__setattr__(self, "weights", _probability_rows(self.weights, 2))
 
     @property
     def n_agents(self) -> int:
-        return len(self.strategies)
+        return int(self.weights.shape[0])
+
+    @property
+    def strategies(self) -> tuple[MixedStrategy, ...]:
+        """The rows of ``weights`` as per-agent strategies (built on access)."""
+        return tuple(MixedStrategy(row) for row in self.weights)
 
     def as_matrix(self) -> np.ndarray:
-        """Writable (n_agents, n_bids) copy of the weight vectors."""
-        return np.vstack([s.weights for s in self.strategies])
+        """Writable copy of the weight matrix."""
+        return self.weights.copy()
 
     @classmethod
     def from_matrix(cls, weights: np.ndarray) -> "StrategyProfile":
-        w = np.asarray(weights, dtype=np.float64)
-        return cls(tuple(MixedStrategy(row) for row in w))
+        """Profile holding a validated read-only copy of ``weights``."""
+        return cls(weights)
 
     @classmethod
     def uniform(cls, n_agents: int, n_bids: int) -> "StrategyProfile":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AuctionInstance, BidGrid, Scenario, StrategyProfile
+from .model import AuctionInstance, Scenario, StrategyProfile
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,33 +59,6 @@ def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable
     return ConditionalScenarioTable(tuple(rows))
 
 
-@dataclass(frozen=True, eq=False)
-class StrictCdfTable:
-    """Strictly-below CDFs: ``below[a, j] = P(agent a bids < grid[j])``.
-
-    The array has one extra trailing column holding the total mass (the
-    "beyond the grid" value, 1 for a valid strategy), which is what the
-    winning-probability products need at the open end.
-    """
-
-    below: np.ndarray
-
-    def row(self, agent: int) -> np.ndarray:
-        """CDF values at the grid points only, without the trailing column."""
-        return self.below[agent, :-1]
-
-
-def strict_cdf(profile: StrategyProfile, grid: BidGrid) -> StrictCdfTable:
-    """Tabulate every agent's probability of bidding strictly below each level."""
-    w = profile.as_matrix()
-    if w.shape[1] != len(grid):
-        raise ValueError(f"profile has {w.shape[1]} weights per agent, grid has {len(grid)} levels")
-    below = np.zeros((w.shape[0], w.shape[1] + 1))
-    np.cumsum(w, axis=1, out=below[:, 1:])
-    below.setflags(write=False)
-    return StrictCdfTable(below)
-
-
 class PayoffEngine:
     """Vectorized payoff-curve evaluator bound to one auction instance.
 
@@ -94,35 +67,28 @@ class PayoffEngine:
     grid level against a strategy profile is a fixed handful of array
     operations regardless of instance size.
 
-    With ``dedup=True``, agents whose conditional scenario structure is
-    bit-identical (same rival sets, same conditional probabilities -- e.g.
-    same-player agents of a converted independent-values auction) share the
-    per-scenario aggregation. Summation order per agent is canonical either
-    way, so curves are bit-for-bit identical with the flag on or off; the
-    flag only removes redundant work.
+    Agents whose conditional scenario structure is identical (same rival
+    sets, same conditional probabilities -- e.g. same-player agents of a
+    converted independent-values auction) form one group and share the
+    per-scenario aggregation. ``dedup`` is accepted for compatibility and
+    ignored: agents are always grouped.
 
     Instances are immutable, so engines can be cached and shared; ``curves``
     allocates its own scratch space and is safe to call concurrently.
     """
 
-    def __init__(self, instance: AuctionInstance, dedup: bool = False):
+    def __init__(self, instance: AuctionInstance, dedup: bool = True):
         self.instance = instance
         n = instance.n_agents
         bids = instance.grid.bids
         table = conditional_scenarios(instance)
 
         group_index: dict[tuple, int] = {}
-        group_items: list[tuple[tuple[tuple[int, ...], float], ...]] = []
         group_of_agent = np.empty(n, dtype=np.intp)
         for a in range(n):
             key = tuple((tuple(sorted(s.members - {a})), q) for s, q in table.entries[a])
-            g = group_index.get(key, -1) if dedup else -1
-            if g < 0:
-                g = len(group_items)
-                group_items.append(key)
-                if dedup:
-                    group_index[key] = g
-            group_of_agent[a] = g
+            group_of_agent[a] = group_index.setdefault(key, len(group_index))
+        group_items = list(group_index)  # insertion order is group order
 
         n_groups = len(group_items)
         flat = [(g, rivals, q) for g, items in enumerate(group_items) for rivals, q in items]
@@ -191,12 +157,12 @@ def engine_for(instance: AuctionInstance) -> PayoffEngine:
 
 def payoff_curve(agent: int, profile: StrategyProfile, instance: AuctionInstance) -> np.ndarray:
     """Expected payoff of ``agent`` at every grid level against ``profile``."""
-    return engine_for(instance).curves(profile.as_matrix())[agent]
+    return engine_for(instance).curves(profile.weights)[agent]
 
 
 def all_payoff_curves(profile: StrategyProfile, instance: AuctionInstance) -> np.ndarray:
     """Payoff curves for all agents at once, one row per agent."""
-    return engine_for(instance).curves(profile.as_matrix())
+    return engine_for(instance).curves(profile.weights)
 
 
 def expected_payoff(agent: int, bid_index: int, profile: StrategyProfile, instance: AuctionInstance) -> float:
@@ -209,7 +175,7 @@ def expected_payoff(agent: int, bid_index: int, profile: StrategyProfile, instan
 def mixed_payoff(agent: int, profile: StrategyProfile, instance: AuctionInstance) -> float:
     """Expected payoff of ``agent`` playing its own mixed strategy."""
     curve = payoff_curve(agent, profile, instance)
-    return float(np.dot(profile.strategies[agent].weights, curve))
+    return float(np.dot(profile.weights[agent], curve))
 
 
 def brute_force_payoff(
@@ -232,9 +198,7 @@ def brute_force_payoff(
     alpha = instance.rule.alpha
     table = conditional_scenarios(instance)
 
-    supports = {}
-    for a in range(instance.n_agents):
-        supports[a] = profile.strategies[a].support()
+    supports = [np.flatnonzero(row) for row in profile.weights]
 
     total_terms = 0
     for s, _q in table.for_agent(agent):
@@ -255,7 +219,7 @@ def brute_force_payoff(
         for combo in itertools.product(*(supports[r] for r in rivals)):
             weight = 1.0
             for r, j in zip(rivals, combo):
-                weight *= profile.strategies[r].weights[j]
+                weight *= profile.weights[r, j]
             top_rival = max(bids[j] for j in combo)
             if bid > top_rival:
                 total += q * weight * (value - alpha * bid - (1.0 - alpha) * top_rival)

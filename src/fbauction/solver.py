@@ -13,13 +13,12 @@ Best-reply ties break to the lowest grid index, so runs are deterministic.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import AuctionInstance, InvalidInstanceError, StrategyProfile, validate_instance
-from .payoff import PayoffEngine, engine_for
+from .payoff import engine_for
 from .verify import EquilibriumCertificate, certify
 
 DRIFT_TOL = 1e-9
@@ -69,9 +68,9 @@ class SolverConfig:
     :class:`StrategyProfile`. An epsilon certificate is computed every
     ``check_interval`` iterations (each check costs about one iteration);
     when ``epsilon_target`` is set the run stops at the first check that
-    reaches it. ``independent_player_cache`` lets agents with identical
-    rival structure share payoff aggregation -- results are bit-identical
-    either way.
+    reaches it. ``independent_player_cache`` is accepted for compatibility
+    and ignored: the payoff engine always shares aggregation between agents
+    with identical rival structure.
     """
 
     schedule: LearningSchedule = field(default_factory=LearningSchedule)
@@ -100,7 +99,6 @@ class SolverConfig:
             "epsilon_target": self.epsilon_target,
             "check_interval": self.check_interval,
             "init": init,
-            "independent_player_cache": self.independent_player_cache,
         }
 
 
@@ -115,16 +113,6 @@ class SolverResult:
     renormalizations: int = 0
 
 
-def classical_fp_mode(config: SolverConfig) -> SolverConfig:
-    """Variant of ``config`` whose averaging weighs all past replies equally.
-
-    Uses the harmonic schedule with coefficient 1 and a point-mass start; the
-    first step then overwrites the initialization entirely, so after ``k``
-    steps each weight equals (times the bid was the best reply) / k.
-    """
-    return dataclasses.replace(config, schedule=LearningSchedule.harmonic(1.0), init=INIT_ZERO_BID)
-
-
 def _initial_matrix(config: SolverConfig, n_agents: int, n_bids: int) -> np.ndarray:
     if isinstance(config.init, StrategyProfile):
         w = config.init.as_matrix()
@@ -134,24 +122,6 @@ def _initial_matrix(config: SolverConfig, n_agents: int, n_bids: int) -> np.ndar
     if config.init == INIT_ZERO_BID:
         return StrategyProfile.point_mass(n_agents, n_bids).as_matrix()
     return StrategyProfile.uniform(n_agents, n_bids).as_matrix()
-
-
-def best_response(agent: int, profile: StrategyProfile, instance: AuctionInstance) -> tuple[int, float]:
-    """Lowest grid index maximizing the agent's payoff curve, and that payoff."""
-    curve = engine_for(instance).curves(profile.as_matrix())[agent]
-    index = int(np.argmax(curve))
-    return index, float(curve[index])
-
-
-def fb_step(profile: StrategyProfile, k: int, config: SolverConfig, instance: AuctionInstance) -> StrategyProfile:
-    """One simultaneous fictitious-bidding update of every agent's strategy."""
-    w = profile.as_matrix()
-    curves = engine_for(instance).curves(w)
-    best = np.argmax(curves, axis=1)
-    eta = config.schedule.rate(k)
-    w *= 1.0 - eta
-    w[np.arange(w.shape[0]), best] += eta
-    return StrategyProfile.from_matrix(w)
 
 
 def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
@@ -164,17 +134,30 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     if problems:
         raise InvalidInstanceError(problems)
 
-    engine = PayoffEngine(instance, dedup=config.independent_player_cache)
+    engine = engine_for(instance)
     n, n_bids = instance.n_agents, instance.n_bids
     w = _initial_matrix(config, n, n_bids)
     rows = np.arange(n)
 
     renormalizations = 0
     trajectory: list[tuple[int, float]] = []
-    certificate: EquilibriumCertificate | None = None
-    certified_at = -1
-    iterations = 0
 
+    def check(iterations: int) -> tuple[StrategyProfile, EquilibriumCertificate]:
+        # the update is an exact convex mix, so rounding drift is ~1e-16 per
+        # step; rows that drift further are renormalized before certification
+        nonlocal renormalizations
+        sums = w.sum(axis=1)
+        bad = np.abs(sums - 1.0) > DRIFT_TOL
+        if bad.any():
+            w[bad] /= sums[bad, None]
+            renormalizations += int(bad.sum())
+        profile = StrategyProfile.from_matrix(w)
+        certificate = certify(profile, instance)
+        trajectory.append((iterations, certificate.epsilon))
+        return profile, certificate
+
+    checked_at = -1
+    iterations = 0
     for k in range(config.max_iterations):
         curves = engine.curves(w)
         best = np.argmax(curves, axis=1)
@@ -183,28 +166,17 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
         w[rows, best] += eta
         iterations = k + 1
 
-        # the update is an exact convex mix, so rounding drift is ~1e-16 per
-        # step and this guard should essentially never fire
-        sums = w.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        if off.max() > DRIFT_TOL:
-            bad = off > DRIFT_TOL
-            w[bad] /= sums[bad, None]
-            renormalizations += int(bad.sum())
-
         if iterations % config.check_interval == 0:
-            certificate = certify(StrategyProfile.from_matrix(w), instance)
-            certified_at = iterations
-            trajectory.append((iterations, certificate.epsilon))
+            profile, certificate = check(iterations)
+            checked_at = iterations
             if config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
                 break
 
-    if certificate is None or certified_at != iterations:
-        certificate = certify(StrategyProfile.from_matrix(w), instance)
-        trajectory.append((iterations, certificate.epsilon))
+    if checked_at != iterations:
+        profile, certificate = check(iterations)
 
     return SolverResult(
-        profile=StrategyProfile.from_matrix(w),
+        profile=profile,
         iterations_run=iterations,
         certificate=certificate,
         trajectory=tuple(trajectory),

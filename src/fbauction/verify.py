@@ -38,7 +38,7 @@ class EquilibriumCertificate:
 
 def certify(profile: StrategyProfile, instance: AuctionInstance) -> EquilibriumCertificate:
     """Compute the exact epsilon-Nash certificate of ``profile``."""
-    weights = profile.as_matrix()
+    weights = profile.weights
     curves = engine_for(instance).curves(weights)
     achieved = np.einsum("aj,aj->a", weights, curves)
     best_bids = np.argmax(curves, axis=1)

@@ -16,15 +16,16 @@ import pytest
 
 from conftest import exhaustive_player_payoffs, random_player_auction, random_profile, random_small_instance
 from fbauction import (
+    INIT_ZERO_BID,
     AuctionInstance,
     BidGrid,
+    LearningSchedule,
     PayoffEngine,
     PaymentRule,
     StrategyProfile,
-    best_response,
     brute_force_payoff,
     cdf_distance,
-    classical_fp_mode,
+    certify,
     convert_player_to_agent,
     example_1,
     example_2,
@@ -32,7 +33,6 @@ from fbauction import (
     example_4,
     example_5,
     expected_payoff,
-    fb_step,
     mixed_payoff,
     participation_probabilities,
     player_payoff,
@@ -189,37 +189,29 @@ def test_criterion_8_invariant_suite(example2_run):
         and first.trajectory == second.trajectory
     )
 
-    named4 = example_4()
-    budget = dataclasses.replace(named4.config, max_iterations=20_000)
-    cache_off = run(named4.instance, dataclasses.replace(budget, independent_player_cache=False))
-    cache_on = run(named4.instance, dataclasses.replace(budget, independent_player_cache=True))
-    cache_ok = (
-        np.array_equal(cache_off.profile.as_matrix(), cache_on.profile.as_matrix())
-        and cache_off.certificate.epsilon == cache_on.certificate.epsilon
-    )
-    shared_groups = PayoffEngine(named4.instance, dedup=True).n_groups
+    shared_groups = PayoffEngine(example_4().instance).n_groups
 
-    fp_config = classical_fp_mode(named1.config)
+    # classical fictitious play: equal-weight averaging from a point-mass start
+    fp_config = dataclasses.replace(named1.config, schedule=LearningSchedule.harmonic(1.0), init=INIT_ZERO_BID)
     steps = 500
+    agents = np.arange(4)
     counts = np.zeros((4, named1.instance.n_bids))
     profile = StrategyProfile.point_mass(4, named1.instance.n_bids)
     replay_ok = True
     for k in range(steps):
-        for a in range(4):
-            br, _ = best_response(a, profile, named1.instance)
-            counts[a, br] += 1.0
-        profile = fb_step(profile, k, fp_config, named1.instance)
-        if np.abs(profile.as_matrix() - counts / (k + 1)).max() > 1e-12 * (k + 1):
+        counts[agents, certify(profile, named1.instance).best_response_bids] += 1.0
+        profile = run(named1.instance, dataclasses.replace(fp_config, max_iterations=k + 1)).profile
+        if np.abs(profile.weights - counts / (k + 1)).max() > 1e-12 * (k + 1):
             replay_ok = False
             break
 
-    ok = simplex_ok and determinism_ok and cache_ok and replay_ok
+    ok = simplex_ok and determinism_ok and replay_ok
     _report(
         "criterion 8 (invariant suite)",
         ok,
         f"simplex drift over 1e6 steps={drift:.1e} (<=1e-9, {long_run.renormalizations} renormalizations), "
         f"determinism={'bit-identical' if determinism_ok else 'MISMATCH'}, "
-        f"player cache={'bit-identical' if cache_ok else 'MISMATCH'} ({shared_groups}/9 groups), "
+        f"example-4 engine groups={shared_groups}/9, "
         f"classical-FP replay={'exact' if replay_ok else 'MISMATCH'} over {steps} steps",
     )
 

@@ -101,6 +101,26 @@ def test_verify_rejects_garbage_csv(tmp_path):
     assert main(["verify", "--example", "1", str(short)]) == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pdf", "nan", "weights must be finite"),
+    ("bid", "0.0126", "not on the instance grid"),  # grid steps are 0.0025: between 0.0125 and 0.015
+])
+def test_verify_rejects_bad_row(solved, capsys, field, value, message):
+    strategies = solved / "strategies.csv"
+    with open(strategies, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[5][field] = value
+    with open(strategies, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["verify", "--example", "1", str(strategies)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no certificate is printed
+    assert message in captured.err
+
+
 def test_solve_invalid_instance_exits_2(tmp_path, capsys):
     doc = {
         "values": [0.5, 0.5],

@@ -11,6 +11,7 @@ from fbauction import (
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
+    PayoffEngine,
     PlayerAuction,
     StrategyProfile,
     conditional_scenarios,
@@ -99,7 +100,8 @@ def test_example_4_structure():
     assert part[3:6] == pytest.approx([0.05, 0.45, 0.5])
     assert part[6:] == pytest.approx([0.05, 0.45, 0.5])
     assert float(inst.grid.bids[-1]) == 0.25
-    assert named.config.independent_player_cache
+    # same-player agents share rival structure, so the engine groups them
+    assert PayoffEngine(inst).n_groups == 5
 
 
 def test_example_5_structure():

@@ -20,7 +20,6 @@ from fbauction import (
     expected_payoff,
     mixed_payoff,
     payoff_curve,
-    strict_cdf,
 )
 
 
@@ -60,36 +59,6 @@ def test_conditional_scenarios_four_scenario_mix():
     table = conditional_scenarios(inst)
     assert [q for _, q in table.for_agent(3)] == [1.0]
     assert [q for _, q in table.for_agent(0)] == pytest.approx([1 / 3] * 3)
-
-
-# --- strict CDFs -------------------------------------------------------------
-
-
-def test_strict_cdf_point_mass_at_zero():
-    profile = StrategyProfile.point_mass(1, 4, bid_index=0)
-    table = strict_cdf(profile, BidGrid(np.array([0.0, 0.25, 0.5, 1.0])))
-    assert table.row(0).tolist() == [0.0, 1.0, 1.0, 1.0]
-    assert table.below[0, -1] == 1.0
-
-
-def test_strict_cdf_uniform_three_levels():
-    profile = StrategyProfile.uniform(1, 3)
-    table = strict_cdf(profile, BidGrid(np.array([0.0, 0.5, 1.0])))
-    assert table.row(0) == pytest.approx([0.0, 1 / 3, 2 / 3])
-
-
-def test_strict_cdf_two_levels():
-    profile = StrategyProfile.from_matrix(np.array([[0.25, 0.75]]))
-    table = strict_cdf(profile, BidGrid(np.array([0.0, 0.5])))
-    assert table.row(0).tolist() == [0.0, 0.25]
-
-
-def test_strict_cdf_rows_monotone():
-    rng = np.random.default_rng(3)
-    inst = random_small_instance(rng)
-    profile = random_profile(rng, inst.n_agents, inst.n_bids)
-    table = strict_cdf(profile, inst.grid)
-    assert np.all(np.diff(table.below, axis=1) >= 0.0)
 
 
 # --- expected payoff ---------------------------------------------------------

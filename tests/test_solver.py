@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_profile, symmetric_binary_analytic_profile
 from fbauction import (
+    INIT_ZERO_BID,
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
@@ -16,11 +17,9 @@ from fbauction import (
     Scenario,
     SolverConfig,
     StrategyProfile,
-    best_response,
     certify,
-    classical_fp_mode,
     example_1,
-    fb_step,
+    payoff_curve,
     run,
 )
 
@@ -28,6 +27,16 @@ from fbauction import (
 def _instance(values, member_sets, probs, grid_bids, alpha=1.0):
     scenarios = tuple(Scenario(frozenset(m), p) for m, p in zip(member_sets, probs))
     return AuctionInstance(np.array(values, dtype=float), scenarios, BidGrid(np.array(grid_bids, dtype=float)), PaymentRule(alpha))
+
+
+def _step(profile, config, inst):
+    """One fictitious-bidding update of ``profile``: ``run`` from it for a single iteration."""
+    return run(inst, dataclasses.replace(config, init=profile, max_iterations=1)).profile
+
+
+def _classical_fp(config):
+    """Equal-weight averaging of all past best replies from a point-mass start."""
+    return dataclasses.replace(config, schedule=LearningSchedule.harmonic(1.0), init=INIT_ZERO_BID)
 
 
 def test_schedule_rates():
@@ -58,16 +67,17 @@ def test_config_validation():
 def test_best_response_sole_participant():
     inst = _instance([1.0], [(0,)], [1.0], [0.0, 0.5, 1.0])
     profile = StrategyProfile.uniform(1, 3)
-    assert best_response(0, profile, inst) == (0, 1.0)
+    assert certify(profile, inst).best_response_bids.tolist() == [0]
+    assert payoff_curve(0, profile, inst)[0] == 1.0
 
 
 def test_best_response_breaks_ties_to_lowest_index():
     # a sole participant with alpha = 0 pays nothing: flat curve, exact ties
     inst = _instance([0.75], [(0,)], [1.0], [0.0, 0.5, 1.0], alpha=0.0)
     profile = StrategyProfile.uniform(1, 3)
-    index, value = best_response(0, profile, inst)
+    index = certify(profile, inst).best_response_bids[0]
     assert index == 0
-    assert value == 0.75
+    assert payoff_curve(0, profile, inst)[index] == 0.75
 
 
 def test_best_response_on_a_flat_payoff_region():
@@ -75,10 +85,10 @@ def test_best_response_on_a_flat_payoff_region():
     # flat on (0, 1/2]: the best reply lands there and earns about 0.5
     named = example_1()
     profile = symmetric_binary_analytic_profile(named.instance)
-    index, value = best_response(2, profile, named.instance)
+    index = certify(profile, named.instance).best_response_bids[2]
     bid = named.instance.grid.bids[index]
     assert 0.0 < bid <= 0.5
-    assert value == pytest.approx(0.5, abs=2.6e-3)
+    assert payoff_curve(2, profile, named.instance)[index] == pytest.approx(0.5, abs=2.6e-3)
 
 
 def test_fb_step_full_rate_gives_point_masses():
@@ -87,12 +97,10 @@ def test_fb_step_full_rate_gives_point_masses():
     rng = np.random.default_rng(1)
     profile = random_profile(rng, 2, 4)
     # eta_0 = 1: the update replaces each strategy by its best reply outright
-    stepped = fb_step(profile, 0, config, inst)
-    for a in range(2):
-        br, _ = best_response(a, profile, inst)
-        expected = np.zeros(4)
-        expected[br] = 1.0
-        assert np.array_equal(stepped.strategies[a].weights, expected)
+    stepped = _step(profile, config, inst)
+    expected = np.zeros((2, 4))
+    expected[[0, 1], certify(profile, inst).best_response_bids] = 1.0
+    assert np.array_equal(stepped.weights, expected)
 
 
 def test_fb_step_uses_one_snapshot_for_everyone():
@@ -111,11 +119,10 @@ def test_fb_step_uses_one_snapshot_for_everyone():
         grid=inst.grid,
         rule=inst.rule,
     )
-    w = profile.as_matrix()
-    permuted_profile = StrategyProfile.from_matrix(w[np.argsort(perm)])
+    permuted_profile = StrategyProfile.from_matrix(profile.weights[np.argsort(perm)])
 
-    direct = fb_step(profile, 0, config, inst).as_matrix()
-    roundabout = fb_step(permuted_profile, 0, config, permuted_inst).as_matrix()[perm]
+    direct = _step(profile, config, inst).weights
+    roundabout = _step(permuted_profile, config, permuted_inst).weights[perm]
     assert np.array_equal(direct, roundabout)
 
 
@@ -129,9 +136,9 @@ def test_fb_step_fixed_point_at_mutual_best_response():
     profile = StrategyProfile.from_matrix(w)
     assert certify(profile, inst).epsilon == 0.0
     config = SolverConfig(schedule=LearningSchedule.constant(0.25), max_iterations=1)
-    stepped = fb_step(profile, 5, config, inst)
-    assert np.allclose(stepped.as_matrix(), w, atol=1e-15)
-    assert np.array_equal(stepped.as_matrix() != 0.0, w != 0.0)
+    stepped = _step(profile, config, inst)
+    assert np.allclose(stepped.weights, w, atol=1e-15)
+    assert np.array_equal(stepped.weights != 0.0, w != 0.0)
 
 
 def test_run_zero_iterations_certifies_initialization():
@@ -185,45 +192,31 @@ def test_simplex_preserved_across_many_steps():
     assert result.renormalizations == 0
 
 
-def test_independent_player_cache_matches_plain_run():
-    named = example_1()
-    base = dataclasses.replace(named.config, max_iterations=2000)
-    plain = run(named.instance, base)
-    cached = run(named.instance, dataclasses.replace(base, independent_player_cache=True))
-    assert np.array_equal(plain.profile.as_matrix(), cached.profile.as_matrix())
-    assert plain.certificate.epsilon == cached.certificate.epsilon
-
-
 def test_classical_fp_mode_counts_best_responses():
     """With equal-weight averaging, weights are exactly the best-reply
     frequencies of the run so far, replayed here step by step."""
     named = example_1()
     inst = named.instance
-    config = classical_fp_mode(named.config)
-    assert config.schedule == LearningSchedule.harmonic(1.0)
-    assert config.init == "point-mass-at-zero"
+    config = _classical_fp(named.config)
 
     steps = 400
     counts = np.zeros((4, inst.n_bids))
     profile = StrategyProfile.point_mass(4, inst.n_bids)
     for k in range(steps):
-        for a in range(4):
-            br, _ = best_response(a, profile, inst)
-            counts[a, br] += 1.0
-        profile = fb_step(profile, k, config, inst)
+        counts[np.arange(4), certify(profile, inst).best_response_bids] += 1.0
+        profile = run(inst, dataclasses.replace(config, max_iterations=k + 1)).profile
         replayed = counts / (k + 1)
-        assert np.abs(profile.as_matrix() - replayed).max() <= 1e-12 * (k + 1)
+        assert np.abs(profile.weights - replayed).max() <= 1e-12 * (k + 1)
 
 
 def test_classical_fp_first_step_is_pure_best_response():
     named = example_1()
     inst = named.instance
-    config = classical_fp_mode(named.config)
+    config = dataclasses.replace(_classical_fp(named.config), max_iterations=1)
     init = StrategyProfile.point_mass(4, inst.n_bids)
-    stepped = fb_step(init, 0, config, inst)
-    for a in range(4):
-        br, _ = best_response(a, init, inst)
-        assert stepped.strategies[a].weights[br] == 1.0
+    stepped = run(inst, config).profile
+    best = certify(init, inst).best_response_bids
+    assert np.all(stepped.weights[np.arange(4), best] == 1.0)
 
 
 def test_explicit_initialization_is_respected():
