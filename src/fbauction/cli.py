@@ -1,8 +1,17 @@
 """Command-line front end: solve, verify, and batch-run auction instances.
 
-Exit codes: 0 success, 1 unreadable input file, 2 invalid instance or
-mismatched strategy file, 3 solve finished without reaching the requested
-epsilon target.
+Every command reads its input through one pipeline: the instance source
+(``--example``/``--file``), then the override flags, then
+:func:`validate_instance`; ``verify`` then reads its strategy file against
+that instance. :func:`main` runs the pipeline before the command starts and
+is the one place where an input error becomes an exit code, so a command
+returns only 0 or 3.
+
+Exit codes: 0 success, 1 unreadable input file, 2 invalid instance, invalid
+flag value, or mismatched strategy file, 3 solve finished without reaching
+the requested epsilon target. ``batch`` builds every seed's instance before
+it solves any, so a bad flag stops it with code 2; a seed whose solve fails
+is recorded with an empty epsilon and the batch goes on.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import get_example, instance_to_dict, load_instance
+from .instances import get_example, grid_to_spec, instance_to_dict, load_instance
 from .model import (
     AuctionInstance,
     BidGrid,
@@ -35,22 +44,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_strategies_csv(path: Path, instance: AuctionInstance, profile: StrategyProfile) -> None:
-    weights = profile.weights
-    cdf = np.cumsum(weights, axis=1)
-    lines = ["agent_id,bid,pdf,cdf"]
-    for a in range(profile.n_agents):
-        for j, bid in enumerate(instance.grid.bids):
-            lines.append(f"{a},{_fmt(bid)},{_fmt(weights[a, j])},{_fmt(cdf[a, j])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_payoffs_csv(path: Path, instance: AuctionInstance, profile: StrategyProfile) -> None:
-    curves = all_payoff_curves(profile, instance)
-    lines = ["agent_id,bid,expected_payoff"]
-    for a in range(instance.n_agents):
-        for j, bid in enumerate(instance.grid.bids):
-            lines.append(f"{a},{_fmt(bid)},{_fmt(curves[a, j])}")
+def _write_grid_csv(path: Path, instance: AuctionInstance, **columns: np.ndarray) -> None:
+    """One row per (agent, grid level): ``agent_id,bid`` and each (agents x bids) column."""
+    bids = [_fmt(b) for b in instance.grid.bids]
+    lines = [",".join(["agent_id", "bid", *columns])]
+    for a, rows in enumerate(zip(*(c.tolist() for c in columns.values()))):
+        for bid, *cells in zip(bids, *rows):
+            lines.append(",".join([str(a), bid, *map(_fmt, cells)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -94,21 +94,32 @@ def _read_strategies_csv(path: Path, instance: AuctionInstance) -> StrategyProfi
     return StrategyProfile.from_matrix(weights)
 
 
-def _resolve_instance(args) -> tuple[str, dict, AuctionInstance, SolverConfig]:
-    """Instance + base config from --example/--file, before flag overrides."""
+def _load(args, seed: int | None = None) -> tuple[str, dict, AuctionInstance, SolverConfig]:
+    """The input pipeline: source (--example/--file), then override flags, then validation.
+
+    Returns the instance's name and identity (for the manifest), the validated
+    instance and its config after the overrides.
+    """
     if args.file is not None:
-        raw = Path(args.file).read_bytes()
-        instance = load_instance(args.file)
-        identity = {"file": str(args.file), "sha256": hashlib.sha256(raw).hexdigest()}
-        return Path(args.file).stem, identity, instance, SolverConfig()
-    named = get_example(args.example, seed=args.seed, n_agents=args.n_agents, n_scenarios=args.n_scenarios)
-    identity = {"name": named.name}
-    if args.example == "random":
-        identity.update({"seed": args.seed, "n_agents": args.n_agents, "n_scenarios": args.n_scenarios})
-    return named.name, identity, named.instance, named.config
+        name, instance, config = Path(args.file).stem, load_instance(args.file), SolverConfig()
+        identity = {"file": str(args.file), "sha256": hashlib.sha256(Path(args.file).read_bytes()).hexdigest()}
+    else:
+        seed = args.seed if seed is None else seed
+        named = get_example(args.example, seed=seed, n_agents=args.n_agents, n_scenarios=args.n_scenarios)
+        name, instance, config = named.name, named.instance, named.config
+        identity = {"name": name}
+        if args.example == "random":
+            identity.update({"seed": seed, "n_agents": args.n_agents, "n_scenarios": args.n_scenarios})
+    instance, config = _apply_overrides(args, instance, config)
+    problems = validate_instance(instance)
+    if problems:
+        raise InvalidInstanceError(problems)
+    return name, identity, instance, config
 
 
 def _apply_overrides(args, instance: AuctionInstance, config: SolverConfig) -> tuple[AuctionInstance, SolverConfig]:
+    if "alpha" not in args:  # verify and show take no override flags
+        return instance, config
     if args.grid_steps is not None or args.alpha is not None:
         grid = instance.grid
         if args.grid_steps is not None:
@@ -131,48 +142,32 @@ def _apply_overrides(args, instance: AuctionInstance, config: SolverConfig) -> t
     return instance, config
 
 
-def _load_or_exit(args):
-    """Resolve the instance source, mapping failures to exit codes 1/2."""
-    try:
-        return _resolve_instance(args)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: cannot read instance: {exc}", file=sys.stderr)
-        return 1
-    except InvalidInstanceError as exc:
-        for problem in exc.problems:
-            print(f"invalid instance: {problem}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return 2
+def _load_with_strategies(args) -> tuple[AuctionInstance, StrategyProfile]:
+    """The pipeline's instance, then the strategy file read against it (``verify``)."""
+    _name, _identity, instance, _config = _load(args)
+    return instance, _read_strategies_csv(args.strategies, instance)
 
 
-def cmd_solve(args) -> int:
-    resolved = _load_or_exit(args)
-    if isinstance(resolved, int):
-        return resolved
-    name, identity, instance, config = resolved
+def _load_seeds(args) -> list[tuple[str, dict, AuctionInstance, SolverConfig]]:
+    """The pipeline once per random seed, all before the first solve (``batch``)."""
+    return [_load(args, seed) for seed in range(args.seed_start, args.seed_start + args.seed_count)]
 
-    instance, config = _apply_overrides(args, instance, config)
-    problems = validate_instance(instance)
-    if problems:
-        for problem in problems:
-            print(f"invalid instance: {problem}", file=sys.stderr)
-        return 2
 
+def cmd_solve(args, loaded) -> int:
+    name, identity, instance, config = loaded
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     result = run(instance, config)
     duration = time.perf_counter() - started
 
-    _write_strategies_csv(out / "strategies.csv", instance, result.profile)
-    _write_payoffs_csv(out / "payoffs.csv", instance, result.profile)
+    weights = result.profile.weights
+    _write_grid_csv(out / "strategies.csv", instance, pdf=weights, cdf=np.cumsum(weights, axis=1))
+    _write_grid_csv(out / "payoffs.csv", instance, expected_payoff=all_payoff_curves(result.profile, instance))
     cert = certificate_to_json(result.certificate, iterations=result.iterations_run, config_echo=config.echo())
     (out / "certificate.json").write_text(json.dumps(cert, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     manifest = {
-        "instance": {**identity, "n_agents": instance.n_agents,
-                     "grid": {"max": float(instance.grid.bids[-1]), "steps": instance.n_bids - 1},
+        "instance": {**identity, "n_agents": instance.n_agents, "grid": grid_to_spec(instance.grid),
                      "alpha": instance.rule.alpha},
         "config": config.echo(),
         "artifacts": {
@@ -189,41 +184,26 @@ def cmd_solve(args) -> int:
 
     eps = result.certificate.epsilon
     print(f"{name}: epsilon {eps:.6g} after {result.iterations_run} iterations ({duration:.2f}s) -> {out}")
-    if config.epsilon_target is not None and eps > config.epsilon_target:
+    if config.epsilon_target is not None and not eps <= config.epsilon_target:  # a NaN epsilon misses too
         print(f"epsilon target {config.epsilon_target:.6g} not reached", file=sys.stderr)
         return 3
     return 0
 
 
-def cmd_verify(args) -> int:
-    resolved = _load_or_exit(args)
-    if isinstance(resolved, int):
-        return resolved
-    _name, _identity, instance, _config = resolved
-
-    try:
-        profile = _read_strategies_csv(Path(args.strategies), instance)
-    except OSError as exc:
-        print(f"error: cannot read strategies: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"strategy file does not match the instance: {exc}", file=sys.stderr)
-        return 2
-
-    certificate = certify(profile, instance)
-    print(json.dumps(certificate_to_json(certificate), indent=2, sort_keys=True))
+def cmd_verify(args, loaded) -> int:
+    instance, profile = loaded
+    print(json.dumps(certificate_to_json(certify(profile, instance)), indent=2, sort_keys=True))
     return 0
 
 
-def cmd_batch(args) -> int:
+def cmd_batch(args, loaded) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["seed,epsilon,duration_seconds"]
-    for seed in range(args.seed_start, args.seed_start + args.seed_count):
+    for _name, identity, instance, config in loaded:
+        seed = identity["seed"]
         started = time.perf_counter()
         try:
-            named = get_example("random", seed=seed, n_agents=args.n_agents, n_scenarios=args.n_scenarios)
-            instance, config = _apply_overrides(args, named.instance, named.config)
             result = run(instance, config)
             duration = time.perf_counter() - started
             rows.append(f"{seed},{_fmt(result.certificate.epsilon)},{duration:.3f}")
@@ -237,11 +217,8 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def cmd_show(args) -> int:
-    resolved = _load_or_exit(args)
-    if isinstance(resolved, int):
-        return resolved
-    _name, _identity, instance, config = resolved
+def cmd_show(args, loaded) -> int:
+    _name, _identity, instance, config = loaded
     print(json.dumps({"instance": instance_to_dict(instance), "recommended_config": config.echo()}, indent=2))
     return 0
 
@@ -275,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(solve)
     _add_override_args(solve)
     solve.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(read=_load, func=cmd_solve)
 
     verify = sub.add_parser("verify", help="certify a strategies.csv against an instance")
     _add_instance_args(verify)
     verify.add_argument("strategies", type=Path, help="strategies.csv produced by solve")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(read=_load_with_strategies, func=cmd_verify)
 
     batch = sub.add_parser("batch", help="solve a range of random instances")
     batch.add_argument("--seed-start", type=int, default=0)
@@ -289,18 +266,30 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--n-scenarios", type=int, default=20)
     _add_override_args(batch)
     batch.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    batch.set_defaults(func=cmd_batch)
+    batch.set_defaults(example="random", file=None, read=_load_seeds, func=cmd_batch)
 
     show = sub.add_parser("show", help="print an instance and its recommended configuration")
     _add_instance_args(show)
-    show.set_defaults(func=cmd_show)
+    show.set_defaults(read=_load, func=cmd_show)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Read the command's input with its ``read``, then run its ``func`` on it."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        loaded = args.read(args)
+    except (OSError, csv.Error, json.JSONDecodeError, KeyError, TypeError) as exc:
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
+        return 1
+    except InvalidInstanceError as exc:
+        print("\n".join(f"invalid instance: {problem}" for problem in exc.problems), file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, loaded)
 
 
 if __name__ == "__main__":

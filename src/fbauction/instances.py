@@ -161,8 +161,8 @@ def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> Nam
     Agents that land in no pair are dropped, with a warning, since they could
     never bid. The same seed always produces the same instance.
     """
-    if n_agents < 2:
-        raise ValueError("need at least two agents to form pairs")
+    if n_agents < 2 or n_scenarios < 1:
+        raise ValueError("need at least two agents and one scenario to form pairs")
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, size=n_agents)
     prob = 1.0 / n_scenarios

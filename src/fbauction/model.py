@@ -63,8 +63,8 @@ class BidGrid:
         """Evenly spaced grid ``[0, max_bid/steps, ..., max_bid]``."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        if max_bid <= 0:
-            raise ValueError("max_bid must be positive")
+        if not 0.0 < max_bid < np.inf:
+            raise ValueError(f"max_bid must be positive and finite, got {max_bid}")
         return cls(np.linspace(0.0, float(max_bid), steps + 1))
 
     def __len__(self) -> int:
@@ -151,9 +151,9 @@ class AuctionInstance:
 def validate_instance(instance: AuctionInstance) -> list[str]:
     """Collect invariant violations; an empty list means the instance is usable."""
     problems: list[str] = []
-    if np.any(instance.values < 0.0):
-        bad = np.flatnonzero(instance.values < 0.0)
-        problems.append(f"agents {bad.tolist()} have negative values")
+    for kind, bad in (("negative", instance.values < 0.0), ("non-finite", ~np.isfinite(instance.values))):
+        if bad.any():
+            problems.append(f"agents {np.flatnonzero(bad).tolist()} have {kind} values")
     n = instance.n_agents
     for s in instance.scenarios:
         unknown = sorted(m for m in s.members if m < 0 or m >= n)

@@ -87,8 +87,8 @@ class SolverConfig:
             raise ValueError("check_interval must be >= 1")
         if isinstance(self.init, str) and self.init not in (INIT_UNIFORM, INIT_ZERO_BID):
             raise ValueError(f"unknown initialization {self.init!r}")
-        if self.epsilon_target is not None and self.epsilon_target < 0:
-            raise ValueError("epsilon_target must be >= 0")
+        if self.epsilon_target is not None and not self.epsilon_target >= 0:
+            raise ValueError(f"epsilon_target must be >= 0, got {self.epsilon_target}")
 
     def echo(self) -> dict:
         """JSON-friendly snapshot of the configuration."""

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import fbauction.cli as fb_cli
 from fbauction import example_1, save_instance
 from fbauction.cli import main
 
@@ -101,6 +102,14 @@ def test_verify_rejects_garbage_csv(tmp_path):
     assert main(["verify", "--example", "1", str(short)]) == 2
 
 
+def test_verify_unreadable_strategies_exits_1(solved, capsys):
+    assert main(["verify", "--example", "1", str(solved / "missing.csv")]) == 1
+    truncated = solved / "truncated.csv"
+    truncated.write_text("agent_id,bid,pdf\n0,0.0\n")  # a row without its pdf
+    assert main(["verify", "--example", "1", str(truncated)]) == 1
+    assert all(line.startswith("error: cannot read input") for line in capsys.readouterr().err.splitlines())
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("pdf", "nan", "weights must be finite"),
     ("bid", "0.0126", "not on the instance grid"),  # grid steps are 0.0025: between 0.0125 and 0.015
@@ -121,16 +130,40 @@ def test_verify_rejects_bad_row(solved, capsys, field, value, message):
     assert message in captured.err
 
 
-def test_solve_invalid_instance_exits_2(tmp_path, capsys):
-    doc = {
-        "values": [0.5, 0.5],
-        "scenarios": [{"members": [0, 1], "prob": 0.5}, {"members": [0], "prob": 0.6}],
-        "grid": {"max": 1.0, "steps": 10},
-    }
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["solve", "--file", str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert "sum to 1.1" in capsys.readouterr().err
+_BAD_PROBABILITIES = {
+    "values": [0.5, 0.5],
+    "scenarios": [{"members": [0, 1], "prob": 0.5}, {"members": [0], "prob": 0.6}],
+    "grid": {"max": 1.0, "steps": 10},
+}
+_NAN_VALUE = {
+    "values": [float("nan"), 1.0],  # written as the JSON extension NaN, which json.load accepts
+    "scenarios": [{"members": [0, 1], "prob": 1.0}],
+    "grid": {"max": 1.0, "steps": 10},
+}
+
+
+@pytest.mark.parametrize("doc, flags, message", [
+    pytest.param(_BAD_PROBABILITIES, [], "sum to 1.1", id="probabilities"),
+    pytest.param(_NAN_VALUE, ["--eps-target", "1e-3"], "agents [0] have non-finite values", id="nan-value"),
+    pytest.param(None, ["--alpha", "2"], "alpha 2.0 outside [0, 1]", id="alpha"),
+    pytest.param(None, ["--max-iters", "-1"], "max_iterations must be >= 0", id="max-iters"),
+    pytest.param(None, ["--grid-steps", "0"], "steps must be >= 1", id="grid-steps"),
+    pytest.param(None, ["--eta-c", "0"], "coefficient must lie in (0, 1]", id="eta-c"),
+    pytest.param(None, ["--check-interval", "0"], "check_interval must be >= 1", id="check-interval"),
+])
+def test_solve_invalid_instance_exits_2(tmp_path, capsys, doc, flags, message):
+    source = ["--example", "1"]
+    if doc is not None:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        source = ["--file", str(bad)]
+    out = tmp_path / "out"
+    assert main(["solve", *source, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before anything is solved or written
 
 
 def test_solve_unreadable_file_exits_1(tmp_path):
@@ -188,6 +221,38 @@ def test_batch_runs_each_seed(tmp_path):
     with open(out2 / "batch.csv", newline="") as fh:
         repeat = list(csv.DictReader(fh))
     assert repeat[0]["epsilon"] == rows[0]["epsilon"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--alpha", "2", "alpha 2.0 outside [0, 1]", id="alpha"),
+    pytest.param("--n-scenarios", "0", "need at least two agents and one scenario", id="n-scenarios"),
+])
+def test_batch_bad_flag_exits_2_before_any_seed(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "batch"
+    assert main(["batch", "--seed-count", "2", flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no seed ran
+    assert len(captured.err.splitlines()) == 1
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_batch_records_a_failing_seed_and_goes_on(tmp_path, monkeypatch):
+    solve = fb_cli.run
+    calls = []
+
+    def fail_first(instance, config):
+        calls.append(instance)
+        if len(calls) == 1:
+            raise RuntimeError("solver failed")
+        return solve(instance, config)
+
+    monkeypatch.setattr(fb_cli, "run", fail_first)
+    out = tmp_path / "batch"
+    assert main(["batch", "--seed-count", "2", "--max-iters", "10", "--out", str(out)]) == 0
+    with open(out / "batch.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["seed"], r["epsilon"] == "") for r in rows] == [("0", True), ("1", False)]
 
 
 def test_batch_empty_seed_range(tmp_path):

@@ -29,6 +29,12 @@ def test_bid_grid_uniform():
     assert grid.bids[1] == 1.0 / 400.0
 
 
+@pytest.mark.parametrize("max_bid", [np.nan, np.inf, 0.0])
+def test_bid_grid_uniform_rejects_bad_max_bid(max_bid):
+    with pytest.raises(ValueError, match="max_bid must be positive and finite"):
+        BidGrid.uniform(max_bid, 4)
+
+
 @pytest.mark.parametrize(
     "bids",
     [[0.0], [0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2]],
@@ -92,10 +98,11 @@ def test_validate_reports_missing_agent():
 
 def test_validate_reports_unknown_member_and_negative_value():
     scenarios = (Scenario(frozenset({0, 5}), 1.0),)
-    inst = AuctionInstance(np.array([-0.1, 0.2]), scenarios, BidGrid.uniform(1.0, 4))
+    inst = AuctionInstance(np.array([-0.1, 0.2, np.nan, np.inf]), scenarios, BidGrid.uniform(1.0, 4))
     report = validate_instance(inst)
     assert any("unknown agents [5]" in msg for msg in report)
     assert any("negative values" in msg for msg in report)
+    assert "agents [2, 3] have non-finite values" in report
     assert any("agent 1 never participates" in msg for msg in report)
 
 

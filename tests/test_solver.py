@@ -62,6 +62,8 @@ def test_config_validation():
         SolverConfig(init="gaussian")
     with pytest.raises(ValueError):
         SolverConfig(epsilon_target=-0.1)
+    with pytest.raises(ValueError):
+        SolverConfig(epsilon_target=float("nan"))
 
 
 def test_best_response_sole_participant():
