@@ -149,8 +149,15 @@ def _load_with_strategies(args) -> tuple[AuctionInstance, StrategyProfile]:
 
 
 def _load_seeds(args) -> list[tuple[str, dict, AuctionInstance, SolverConfig]]:
-    """The pipeline once per random seed, all before the first solve (``batch``)."""
-    return [_load(args, seed) for seed in range(args.seed_start, args.seed_start + args.seed_count)]
+    """The pipeline once per random seed, all before the first solve (``batch``).
+
+    With no seeds it still runs once on ``--seed-start``, so a bad flag is
+    rejected whatever the seed count.
+    """
+    loaded = [_load(args, seed) for seed in range(args.seed_start, args.seed_start + args.seed_count)]
+    if not loaded:
+        _load(args, args.seed_start)
+    return loaded
 
 
 def cmd_solve(args, loaded) -> int:

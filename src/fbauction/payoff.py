@@ -12,9 +12,10 @@ their mixed strategies) and ``E[M ; M < b]`` is the expectation restricted to
 the winning event. A scenario without rivals always wins and pays
 ``alpha * b``.
 
-Everything is evaluated in closed form from the rivals' strict CDFs; the
-summation order is fixed (scenarios sorted by member tuple, rival products in
-ascending agent order) so results are bit-for-bit reproducible.
+Everything is evaluated in closed form from the rivals' strict CDFs,
+``P(M < b)`` once per distinct rival set. The matrix product that mixes the
+rival sets sums in an order the BLAS library picks; the tests check the same
+CSV bytes with 1 and 2 BLAS threads on one machine, not across BLAS builds.
 :func:`brute_force_payoff` enumerates joint bid outcomes directly and exists
 to cross-check the vectorized engine.
 """
@@ -62,23 +63,25 @@ def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable
 class PayoffEngine:
     """Vectorized payoff-curve evaluator bound to one auction instance.
 
-    Precomputes, per agent, the participation-conditional scenario list and
-    flat rival-index arrays, so that evaluating every agent's payoff at every
-    grid level against a strategy profile is a fixed handful of array
-    operations regardless of instance size.
+    Agents with identical conditional scenario structure (same rival sets,
+    same conditional probabilities -- e.g. same-player agents of a converted
+    independent-values auction) form one group. Each column of the
+    aggregation matrix ``qmat`` is one distinct rival set, numbered by first
+    appearance, and ``qmat[g, set]`` is group ``g``'s conditional probability
+    of facing it: ``curves`` multiplies the rivals' strict CDFs once per set
+    and mixes the sets into the groups with one matrix product. When no
+    scenario has more than one rival the sets are the CDF rows themselves
+    (column ``n_agents`` is the all-ones row of a rival-free scenario), and
+    nothing is gathered or multiplied. ``dedup`` is accepted for
+    compatibility and ignored: agents are always grouped.
 
-    Agents whose conditional scenario structure is identical (same rival
-    sets, same conditional probabilities -- e.g. same-player agents of a
-    converted independent-values auction) form one group and share the
-    per-scenario aggregation. ``dedup`` is accepted for compatibility and
-    ignored: agents are always grouped.
-
-    Instances are immutable, so engines can be cached and shared; ``curves``
-    allocates its own scratch space and is safe to call concurrently.
+    The engine holds its instance weakly, so the :func:`engine_for` cache
+    keeps no instance alive. ``curves`` allocates its own scratch space and
+    is safe to call concurrently.
     """
 
     def __init__(self, instance: AuctionInstance, dedup: bool = True):
-        self.instance = instance
+        self._instance = weakref.ref(instance)
         n = instance.n_agents
         bids = instance.grid.bids
         table = conditional_scenarios(instance)
@@ -90,17 +93,26 @@ class PayoffEngine:
             group_of_agent[a] = group_index.setdefault(key, len(group_index))
         group_items = list(group_index)  # insertion order is group order
 
-        n_groups = len(group_items)
-        flat = [(g, rivals, q) for g, items in enumerate(group_items) for rivals, q in items]
-        n_items = len(flat)
-        max_rivals = max((len(rivals) for _, rivals, _ in flat), default=0)
-        # rival slot n points at a constant all-ones row, so padded slots and
-        # rival-free scenarios contribute a neutral factor to the products
-        member_idx = np.full((n_items, max_rivals), n, dtype=np.intp)
-        qmat = np.zeros((n_groups, n_items))
-        for i, (g, rivals, q) in enumerate(flat):
-            member_idx[i, : len(rivals)] = rivals
-            qmat[g, i] = q
+        column: dict[tuple[int, ...], int] = {}  # rival set -> column, by first appearance
+        for items in group_items:
+            for rivals, _q in items:
+                column.setdefault(rivals, len(column))
+        max_rivals = max(map(len, column), default=0)
+        if max_rivals <= 1:
+            set_members = None
+            column = {rivals: rivals[0] if rivals else n for rivals in column}
+            n_columns = n + 1
+        else:
+            # rival slot n points at the all-ones row, so padded slots and
+            # rival-free scenarios contribute a neutral factor to the products
+            set_members = np.full((len(column), max_rivals), n, dtype=np.intp)
+            for rivals, col in column.items():
+                set_members[col, : len(rivals)] = rivals
+            n_columns = len(column)
+        qmat = np.zeros((len(group_items), n_columns))
+        for g, items in enumerate(group_items):
+            for rivals, q in items:
+                qmat[g, column[rivals]] = q
 
         self._n = n
         self._n_bids = bids.size
@@ -108,11 +120,16 @@ class PayoffEngine:
         self._second_price_share = 1.0 - self._alpha
         self._use_mixture = self._alpha < 1.0
         self._bids = bids
-        self._member_idx = member_idx
+        self._set_members = set_members
         self._qmat = qmat
         self._group_of_agent = group_of_agent
         self._value_margin = instance.values[:, None] - self._alpha * bids[None, :]
-        self.n_groups = n_groups
+        self.n_groups = len(group_items)
+
+    @property
+    def instance(self) -> AuctionInstance | None:
+        """The instance this engine evaluates, or None once it has been freed."""
+        return self._instance()
 
     def curves(self, weights: np.ndarray) -> np.ndarray:
         """Expected payoff of every agent at every pure bid, given a profile.
@@ -128,9 +145,11 @@ class PayoffEngine:
         np.cumsum(weights, axis=1, out=below[:n, 1:])
         below[n, :] = 1.0
 
-        rival_cdfs = below[self._member_idx]          # (items, max_rivals, nb+1)
-        win_below = rival_cdfs.prod(axis=1)           # P(top rival < level), per item
-        group_win = self._qmat @ win_below            # conditional mixture, per group
+        if self._set_members is None:
+            set_win = below                           # one rival: its CDF row is the set's
+        else:
+            set_win = below[self._set_members].prod(axis=1)  # P(top rival < level), per set
+        group_win = self._qmat @ set_win              # conditional mixture, per group
 
         agent_win = group_win[self._group_of_agent]
         curves = self._value_margin * agent_win[:, :-1]

@@ -37,13 +37,20 @@ class EquilibriumCertificate:
 
 
 def certify(profile: StrategyProfile, instance: AuctionInstance) -> EquilibriumCertificate:
-    """Compute the exact epsilon-Nash certificate of ``profile``."""
+    """Compute the exact epsilon-Nash certificate of ``profile``.
+
+    Raises ``ValueError`` naming the agents whose gap is not finite (NaN or
+    infinite payoffs), so no certificate ever reports a non-finite epsilon.
+    """
     weights = profile.weights
     curves = engine_for(instance).curves(weights)
     achieved = np.einsum("aj,aj->a", weights, curves)
     best_bids = np.argmax(curves, axis=1)
     best_values = curves[np.arange(curves.shape[0]), best_bids]
     gaps = best_values - achieved
+    broken = np.flatnonzero(~np.isfinite(gaps))
+    if broken.size:
+        raise ValueError(f"non-finite best-reply gap for agents {broken.tolist()}")
     if np.any(gaps < 0.0):
         worst = float(gaps.min())
         # achieved is a convex combination of curve values, so a negative gap

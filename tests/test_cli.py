@@ -3,9 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fbauction
 import fbauction.cli as fb_cli
 from fbauction import example_1, save_instance
 from fbauction.cli import main
@@ -267,3 +272,30 @@ def test_show_prints_instance(capsys):
     assert doc["instance"]["values"] == pytest.approx([1 / 3, 2 / 3, 1.0])
     assert doc["instance"]["grid"] == {"max": 1.0, "steps": 600}
     assert doc["recommended_config"]["max_iterations"] == 1_000_000
+
+
+def test_batch_bad_flag_exits_2_with_no_seeds(tmp_path, capsys):
+    out = tmp_path / "batch"
+    assert main(["batch", "--seed-count", "0", "--alpha", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["invalid input: alpha 2.0 outside [0, 1]"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--example", "3"], id="example-3"),
+    pytest.param(["--example", "4", "--max-iters", "3000"], id="example-4"),
+])
+def test_solve_same_bytes_with_1_and_2_blas_threads(tmp_path, extra):
+    src = str(Path(fbauction.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "fbauction.cli", "solve", *extra, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out)
+    for name in ["strategies.csv", "payoffs.csv"]:
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name

@@ -1,10 +1,16 @@
 """Payoff engine vs. the brute-force enumeration oracle."""
 from __future__ import annotations
 
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fbauction.payoff as fb_payoff
 
 from conftest import random_profile, random_small_instance, symmetric_binary_analytic_profile
 from fbauction import (
@@ -12,10 +18,12 @@ from fbauction import (
     BidGrid,
     PayoffEngine,
     PaymentRule,
+    PlayerAuction,
     Scenario,
     StrategyProfile,
     brute_force_payoff,
     conditional_scenarios,
+    convert_player_to_agent,
     example_1,
     expected_payoff,
     mixed_payoff,
@@ -124,6 +132,43 @@ def test_engine_matches_brute_force():
                 assert fast == pytest.approx(slow, abs=1e-12)
 
 
+@st.composite
+def converted_player_cases(draw):
+    """A converted independent-player auction, a profile and one agent.
+
+    3-4 players with 2-3 values each give every agent 2-3 rivals, and the
+    agents of one player face the same rival sets. Integer weights and point
+    masses put rival mass exactly on the deviator's levels, so ties occur.
+    """
+    levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+    value_sets = [sorted(draw(st.lists(st.sampled_from(levels), min_size=2, max_size=3, unique=True)))
+                  for _ in range(draw(st.integers(3, 4)))]
+    marginals = [np.array(draw(st.lists(st.integers(1, 3), min_size=len(vs), max_size=len(vs))), dtype=float)
+                 for vs in value_sets]
+    values, scenarios, _partition = convert_player_to_agent(
+        PlayerAuction.independent(value_sets, [m / m.sum() for m in marginals]))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    inst = AuctionInstance(values, scenarios, BidGrid.uniform(1.0, draw(st.integers(2, 3))), PaymentRule(alpha))
+    n, nb = inst.n_agents, inst.n_bids
+    w = np.zeros((n, nb))
+    for a in range(n):
+        if draw(st.booleans()):
+            w[a, draw(st.integers(0, nb - 1))] = 1.0
+        else:
+            w[a] = draw(st.lists(st.integers(0, 2), min_size=nb, max_size=nb).filter(any))
+    w /= w.sum(axis=1, keepdims=True)
+    return inst, StrategyProfile.from_matrix(w), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(converted_player_cases())
+def test_engine_matches_brute_force_on_converted_player_auctions(case):
+    inst, profile, agent = case
+    curve = PayoffEngine(inst).curves(profile.weights)[agent]
+    oracle = [brute_force_payoff(agent, j, profile, inst) for j in range(inst.n_bids)]
+    assert curve == pytest.approx(oracle, abs=1e-12)
+
+
 def test_mixed_payoff_degenerate_and_uniform():
     rng = np.random.default_rng(5)
     inst = random_small_instance(rng, max_grid=6)
@@ -222,3 +267,20 @@ def test_payoff_curves_threadsafe():
         got = list(pool.map(lambda a: payoff_curve(a, profile, inst), range(4)))
     for want, have in zip(expected, got):
         assert np.array_equal(want, have)
+
+
+def test_engine_cache_keeps_no_instance_alive(monkeypatch):
+    monkeypatch.setattr(fb_payoff, "_ENGINES", weakref.WeakKeyDictionary())
+    gc.disable()  # the instance must die by reference counting alone
+    try:
+        inst = _instance([1.0, 0.5], [(0, 1)], [1.0], [0.0, 0.5, 1.0])
+        engine = fb_payoff.engine_for(inst)
+        assert engine.instance is inst
+        assert len(fb_payoff._ENGINES) == 1
+        dead = weakref.ref(inst)
+        del inst
+        assert dead() is None
+        assert len(fb_payoff._ENGINES) == 0
+        assert engine.instance is None
+    finally:
+        gc.enable()

@@ -19,6 +19,14 @@ from fbauction import (
 )
 
 
+def test_certify_refuses_non_finite_epsilon():
+    # a NaN value makes agent 1's whole payoff curve NaN; its rivals' stay finite
+    scenarios = (Scenario(frozenset({0, 1}), 0.5), Scenario(frozenset({1, 2}), 0.5))
+    inst = AuctionInstance(np.array([1.0, np.nan, 0.5]), scenarios, BidGrid(np.array([0.0, 0.5, 1.0])))
+    with pytest.raises(ValueError, match=r"non-finite best-reply gap for agents \[1\]$"):
+        certify(StrategyProfile.uniform(3, 3), inst)
+
+
 def test_certify_mutual_best_response_is_exact():
     scenarios = (Scenario(frozenset({0, 1}), 1.0),)
     inst = AuctionInstance(np.array([1.0, 0.5]), scenarios, BidGrid(np.array([0.0, 0.25, 0.5, 1.0])))
