@@ -117,28 +117,37 @@ def _load(args, seed: int | None = None) -> tuple[str, dict, AuctionInstance, So
     return name, identity, instance, config
 
 
+def _flag_value(flag: str, value, build):
+    """``build()``, with a ``ValueError`` it raises reworded to name ``flag`` and ``value``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ValueError(f"{flag} {value}: {exc}") from None
+
+
 def _apply_overrides(args, instance: AuctionInstance, config: SolverConfig) -> tuple[AuctionInstance, SolverConfig]:
+    """The instance and config after the override flags; a bad value's error names its flag."""
     if "alpha" not in args:  # verify and show take no override flags
         return instance, config
     if args.grid_steps is not None or args.alpha is not None:
-        grid = instance.grid
+        grid, rule = instance.grid, instance.rule
         if args.grid_steps is not None:
-            grid = BidGrid.uniform(float(instance.grid.bids[-1]), args.grid_steps)
-        rule = instance.rule if args.alpha is None else PaymentRule(args.alpha)
+            grid = _flag_value("--grid-steps", args.grid_steps,
+                               lambda: BidGrid.uniform(float(instance.grid.bids[-1]), args.grid_steps))
+        if args.alpha is not None:
+            rule = _flag_value("--alpha", args.alpha, lambda: PaymentRule(args.alpha))
         instance = AuctionInstance(instance.values, instance.scenarios, grid, rule)
-    updates = {}
     if args.eta_kind is not None or args.eta_c is not None:
         kind = args.eta_kind if args.eta_kind is not None else config.schedule.kind
         coeff = args.eta_c if args.eta_c is not None else config.schedule.coefficient
-        updates["schedule"] = LearningSchedule(kind, coeff)
-    if args.max_iters is not None:
-        updates["max_iterations"] = args.max_iters
-    if args.eps_target is not None:
-        updates["epsilon_target"] = args.eps_target
-    if args.check_interval is not None:
-        updates["check_interval"] = args.check_interval
-    if updates:
-        config = dataclasses.replace(config, **updates)
+        # --eta-kind is checked by argparse, so only the coefficient can be bad
+        schedule = _flag_value("--eta-c", coeff, lambda: LearningSchedule(kind, coeff))
+        config = dataclasses.replace(config, schedule=schedule)
+    for flag, name, value in (("--max-iters", "max_iterations", args.max_iters),
+                              ("--eps-target", "epsilon_target", args.eps_target),
+                              ("--check-interval", "check_interval", args.check_interval)):
+        if value is not None:
+            config = _flag_value(flag, value, lambda: dataclasses.replace(config, **{name: value}))
     return instance, config
 
 

@@ -94,7 +94,7 @@ def example_2() -> NamedInstance:
         scenarios=scenarios,
         grid=BidGrid.uniform(1.0, 600),
     )
-    return NamedInstance("example-2", instance, _recommended(1_000_000), expected_epsilon=7.45e-4)
+    return NamedInstance("example-2", instance, _recommended(1_000_000), expected_epsilon=8.84e-4)
 
 
 def example_3() -> NamedInstance:
@@ -150,7 +150,7 @@ def example_5() -> NamedInstance:
         value_sets=[[0.1, 0.25], [0.1, 0.2, 0.25]],
         marginals=[[0.25, 0.75], [0.05, 0.45, 0.5]],
     )
-    return _converted("example-5", players, 100_000, expected=9e-4)
+    return _converted("example-5", players, 100_000, expected=1.06e-3)
 
 
 def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> NamedInstance:

@@ -27,6 +27,12 @@ import numpy as np
 
 PROB_TOL = 1e-9
 
+# Largest agents x grid-levels table an instance may need. The solver and
+# the payoff engine each hold a few float64 tables of this size (8 bytes a
+# cell, so 80 MB each at the limit); BidGrid.uniform checks it before it
+# allocates, and validate_instance reports instances above it.
+MAX_TABLE_CELLS = 10_000_000
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
@@ -63,6 +69,8 @@ class BidGrid:
         """Evenly spaced grid ``[0, max_bid/steps, ..., max_bid]``."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
+        if steps + 1 > MAX_TABLE_CELLS:
+            raise ValueError(f"{steps + 1} grid levels exceed the {MAX_TABLE_CELLS}-cell table limit")
         if not 0.0 < max_bid < np.inf:
             raise ValueError(f"max_bid must be positive and finite, got {max_bid}")
         return cls(np.linspace(0.0, float(max_bid), steps + 1))
@@ -155,6 +163,8 @@ def validate_instance(instance: AuctionInstance) -> list[str]:
         if bad.any():
             problems.append(f"agents {np.flatnonzero(bad).tolist()} have {kind} values")
     n = instance.n_agents
+    if n * instance.n_bids > MAX_TABLE_CELLS:
+        problems.append(f"{n} agents x {instance.n_bids} grid levels exceed the {MAX_TABLE_CELLS}-cell table limit")
     for s in instance.scenarios:
         unknown = sorted(m for m in s.members if m < 0 or m >= n)
         if unknown:

@@ -13,9 +13,12 @@ the winning event. A scenario without rivals always wins and pays
 ``alpha * b``.
 
 Everything is evaluated in closed form from the rivals' strict CDFs,
-``P(M < b)`` once per distinct rival set. The matrix product that mixes the
-rival sets sums in an order the BLAS library picks; the tests check the same
-CSV bytes with 1 and 2 BLAS threads on one machine, not across BLAS builds.
+``P(M < b)`` once per distinct rival set, so :meth:`PayoffEngine.curves`
+takes a profile as its strict-CDF table: the solver carries that table from
+iteration to iteration, other callers build it with ``cdf_table``. The
+matrix product that mixes the rival sets sums in an order the BLAS library
+picks; the tests check the same CSV bytes with 1 and 2 BLAS threads on one
+machine, not across BLAS builds.
 :func:`brute_force_payoff` enumerates joint bid outcomes directly and exists
 to cross-check the vectorized engine.
 """
@@ -75,6 +78,9 @@ class PayoffEngine:
     nothing is gathered or multiplied. ``dedup`` is accepted for
     compatibility and ignored: agents are always grouped.
 
+    ``curves`` takes the profile as its strict-CDF table (layout in
+    :meth:`cdf_table`), whose row differences are the strategy weights.
+
     The engine holds its instance weakly, so the :func:`engine_for` cache
     keeps no instance alive. ``curves`` allocates its own scratch space and
     is safe to call concurrently.
@@ -131,11 +137,12 @@ class PayoffEngine:
         """The instance this engine evaluates, or None once it has been freed."""
         return self._instance()
 
-    def curves(self, weights: np.ndarray) -> np.ndarray:
-        """Expected payoff of every agent at every pure bid, given a profile.
+    def cdf_table(self, weights: np.ndarray) -> np.ndarray:
+        """The strict-CDF table of a strategy matrix, the input of :meth:`curves`.
 
-        ``weights`` is the (n_agents, n_bids) strategy matrix; returns an
-        array of the same shape.
+        ``weights`` is the (n_agents, n_bids) strategy matrix. Row ``a`` of the
+        (n_agents + 1, n_bids + 1) result holds ``P(agent a bids below level
+        j)`` for ``j = 0..n_bids``; the last row is all ones, an absent rival.
         """
         n, nb = self._n, self._n_bids
         if weights.shape != (n, nb):
@@ -144,7 +151,16 @@ class PayoffEngine:
         below[:n, 0] = 0.0
         np.cumsum(weights, axis=1, out=below[:n, 1:])
         below[n, :] = 1.0
+        return below
 
+    def curves(self, below: np.ndarray) -> np.ndarray:
+        """Expected payoff of every agent at every pure bid, given a profile.
+
+        ``below`` is the profile's strict-CDF table (see :meth:`cdf_table`);
+        returns an (n_agents, n_bids) array.
+        """
+        if below.shape != (self._n + 1, self._n_bids + 1):
+            raise ValueError(f"expected a ({self._n + 1}, {self._n_bids + 1}) CDF table, got {below.shape}")
         if self._set_members is None:
             set_win = below                           # one rival: its CDF row is the set's
         else:
@@ -176,12 +192,13 @@ def engine_for(instance: AuctionInstance) -> PayoffEngine:
 
 def payoff_curve(agent: int, profile: StrategyProfile, instance: AuctionInstance) -> np.ndarray:
     """Expected payoff of ``agent`` at every grid level against ``profile``."""
-    return engine_for(instance).curves(profile.weights)[agent]
+    return all_payoff_curves(profile, instance)[agent]
 
 
 def all_payoff_curves(profile: StrategyProfile, instance: AuctionInstance) -> np.ndarray:
     """Payoff curves for all agents at once, one row per agent."""
-    return engine_for(instance).curves(profile.weights)
+    engine = engine_for(instance)
+    return engine.curves(engine.cdf_table(profile.weights))
 
 
 def expected_payoff(agent: int, bid_index: int, profile: StrategyProfile, instance: AuctionInstance) -> float:

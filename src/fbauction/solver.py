@@ -2,9 +2,14 @@
 
 Every iteration, each agent computes a best reply to the *current* strategy
 profile (the same snapshot for all agents), then mixes a point mass at that
-reply into its strategy:
+reply into its strategy. The loop carries the profile as the strict-CDF table
+``F`` that :meth:`PayoffEngine.curves` reads (``F[a, j]`` = P(agent ``a``
+bids below level ``j``)), so the mix is a scale and a suffix add:
 
-    w_next = (1 - eta_k) * w + eta_k * point_mass(best reply)
+    F_next[a, j] = (1 - eta_k) * F[a, j] + eta_k * [j > best reply of a]
+
+The weights, the row differences of ``F``, are formed only for a certificate;
+both operations are monotone in floating point, so they are never negative.
 
 With ``eta_k = 1/(k+1)`` the profile is the running empirical frequency of
 past best replies (classical fictitious play); with constant ``eta`` it is an
@@ -113,15 +118,15 @@ class SolverResult:
     renormalizations: int = 0
 
 
-def _initial_matrix(config: SolverConfig, n_agents: int, n_bids: int) -> np.ndarray:
+def _initial_profile(config: SolverConfig, n_agents: int, n_bids: int) -> StrategyProfile:
     if isinstance(config.init, StrategyProfile):
-        w = config.init.as_matrix()
-        if w.shape != (n_agents, n_bids):
-            raise ValueError(f"explicit initialization has shape {w.shape}, instance needs ({n_agents}, {n_bids})")
-        return w
+        shape = config.init.weights.shape
+        if shape != (n_agents, n_bids):
+            raise ValueError(f"explicit initialization has shape {shape}, instance needs ({n_agents}, {n_bids})")
+        return config.init
     if config.init == INIT_ZERO_BID:
-        return StrategyProfile.point_mass(n_agents, n_bids).as_matrix()
-    return StrategyProfile.uniform(n_agents, n_bids).as_matrix()
+        return StrategyProfile.point_mass(n_agents, n_bids)
+    return StrategyProfile.uniform(n_agents, n_bids)
 
 
 def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
@@ -136,8 +141,10 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
 
     engine = engine_for(instance)
     n, n_bids = instance.n_agents, instance.n_bids
-    w = _initial_matrix(config, n, n_bids)
-    rows = np.arange(n)
+    init = _initial_profile(config, n, n_bids)
+    cdf = engine.cdf_table(init.weights)
+    agent_cdf = cdf[:n]  # a view; the last row stays all ones
+    levels = np.arange(n_bids + 1)
 
     renormalizations = 0
     trajectory: list[tuple[int, float]] = []
@@ -146,12 +153,15 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
         # the update is an exact convex mix, so rounding drift is ~1e-16 per
         # step; rows that drift further are renormalized before certification
         nonlocal renormalizations
-        sums = w.sum(axis=1)
-        bad = np.abs(sums - 1.0) > DRIFT_TOL
-        if bad.any():
-            w[bad] /= sums[bad, None]
-            renormalizations += int(bad.sum())
-        profile = StrategyProfile.from_matrix(w)
+        if iterations == 0:
+            profile = init  # the table's row differences match it only up to rounding
+        else:
+            totals = agent_cdf[:, -1]
+            bad = np.abs(totals - 1.0) > DRIFT_TOL
+            if bad.any():
+                agent_cdf[bad] /= totals[bad, None]
+                renormalizations += int(bad.sum())
+            profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
         certificate = certify(profile, instance)
         trajectory.append((iterations, certificate.epsilon))
         return profile, certificate
@@ -159,11 +169,11 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     checked_at = -1
     iterations = 0
     for k in range(config.max_iterations):
-        curves = engine.curves(w)
+        curves = engine.curves(cdf)
         best = np.argmax(curves, axis=1)
         eta = config.schedule.rate(k)
-        w *= 1.0 - eta
-        w[rows, best] += eta
+        agent_cdf *= 1.0 - eta
+        np.add(agent_cdf, eta, out=agent_cdf, where=levels > best[:, None])
         iterations = k + 1
 
         if iterations % config.check_interval == 0:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .model import AuctionInstance, BidGrid, MixedStrategy, StrategyProfile
-from .payoff import engine_for
+from .payoff import all_payoff_curves
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +43,7 @@ def certify(profile: StrategyProfile, instance: AuctionInstance) -> EquilibriumC
     infinite payoffs), so no certificate ever reports a non-finite epsilon.
     """
     weights = profile.weights
-    curves = engine_for(instance).curves(weights)
+    curves = all_payoff_curves(profile, instance)
     achieved = np.einsum("aj,aj->a", weights, curves)
     best_bids = np.argmax(curves, axis=1)
     best_values = curves[np.arange(curves.shape[0]), best_bids]

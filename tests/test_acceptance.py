@@ -224,9 +224,9 @@ def test_criterion_9_payment_mixture(example1_run):
         inst = random_small_instance(rng, alpha=1.0)
         weights = random_profile(rng, inst.n_agents, inst.n_bids).as_matrix()
         engine = PayoffEngine(inst)
-        pure = engine.curves(weights)
+        pure = engine.curves(engine.cdf_table(weights))
         engine._use_mixture = True  # run the mixture path with a zero share
-        if not np.array_equal(pure, engine.curves(weights)):
+        if not np.array_equal(pure, engine.curves(engine.cdf_table(weights))):
             paths_equal = False
 
     mixed_instance = AuctionInstance(

@@ -150,11 +150,15 @@ _NAN_VALUE = {
 @pytest.mark.parametrize("doc, flags, message", [
     pytest.param(_BAD_PROBABILITIES, [], "sum to 1.1", id="probabilities"),
     pytest.param(_NAN_VALUE, ["--eps-target", "1e-3"], "agents [0] have non-finite values", id="nan-value"),
-    pytest.param(None, ["--alpha", "2"], "alpha 2.0 outside [0, 1]", id="alpha"),
-    pytest.param(None, ["--max-iters", "-1"], "max_iterations must be >= 0", id="max-iters"),
-    pytest.param(None, ["--grid-steps", "0"], "steps must be >= 1", id="grid-steps"),
-    pytest.param(None, ["--eta-c", "0"], "coefficient must lie in (0, 1]", id="eta-c"),
-    pytest.param(None, ["--check-interval", "0"], "check_interval must be >= 1", id="check-interval"),
+    pytest.param(None, ["--alpha", "2"], "invalid input: --alpha 2.0: alpha 2.0 outside [0, 1]", id="alpha"),
+    pytest.param(None, ["--max-iters", "-1"], "invalid input: --max-iters -1: max_iterations must be >= 0",
+                 id="max-iters"),
+    pytest.param(None, ["--grid-steps", "0"], "invalid input: --grid-steps 0: steps must be >= 1", id="grid-steps"),
+    pytest.param(None, ["--eta-c", "0"], "invalid input: --eta-c 0.0: coefficient must lie in (0, 1]", id="eta-c"),
+    pytest.param(None, ["--check-interval", "0"], "invalid input: --check-interval 0: check_interval must be >= 1",
+                 id="check-interval"),
+    pytest.param(None, ["--eps-target", "-1"], "invalid input: --eps-target -1.0: epsilon_target must be >= 0",
+                 id="eps-target"),
 ])
 def test_solve_invalid_instance_exits_2(tmp_path, capsys, doc, flags, message):
     source = ["--example", "1"]
@@ -169,6 +173,18 @@ def test_solve_invalid_instance_exits_2(tmp_path, capsys, doc, flags, message):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()  # rejected before anything is solved or written
+
+
+def test_solve_oversized_grid_exits_2_before_allocating(tmp_path, capsys):
+    # the limit is read first, so a build without it fails here instead of
+    # allocating the 8 GB grid
+    assert fbauction.model.MAX_TABLE_CELLS < 10**9
+    out = tmp_path / "out"
+    assert main(["solve", "--example", "1", "--grid-steps", "1000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid input: --grid-steps 1000000000: "
+                                f"1000000001 grid levels exceed the {fbauction.model.MAX_TABLE_CELLS}-cell table limit"]
+    assert not out.exists()
 
 
 def test_solve_unreadable_file_exits_1(tmp_path):
@@ -279,7 +295,7 @@ def test_batch_bad_flag_exits_2_with_no_seeds(tmp_path, capsys):
     assert main(["batch", "--seed-count", "0", "--alpha", "2", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["invalid input: alpha 2.0 outside [0, 1]"]
+    assert captured.err.splitlines() == ["invalid input: --alpha 2.0: alpha 2.0 outside [0, 1]"]
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fbauction.model
 from conftest import exhaustive_player_payoffs, random_player_auction, random_profile
 from fbauction import (
     AuctionInstance,
@@ -33,6 +34,20 @@ def test_bid_grid_uniform():
 def test_bid_grid_uniform_rejects_bad_max_bid(max_bid):
     with pytest.raises(ValueError, match="max_bid must be positive and finite"):
         BidGrid.uniform(max_bid, 4)
+
+
+def test_bid_grid_uniform_rejects_oversized_grid():
+    # checked before linspace: 10**9 steps would allocate 8 GB
+    for steps in (fbauction.model.MAX_TABLE_CELLS, 10**9):
+        with pytest.raises(ValueError, match="grid levels exceed the"):
+            BidGrid.uniform(1.0, steps)
+
+
+def test_validate_reports_oversized_table(monkeypatch):
+    inst = _pair_instance([1.0])  # 2 agents x 5 grid levels
+    assert validate_instance(inst) == []
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 9)
+    assert validate_instance(inst) == ["2 agents x 5 grid levels exceed the 9-cell table limit"]
 
 
 @pytest.mark.parametrize(

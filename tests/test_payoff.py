@@ -164,7 +164,8 @@ def converted_player_cases(draw):
 @given(converted_player_cases())
 def test_engine_matches_brute_force_on_converted_player_auctions(case):
     inst, profile, agent = case
-    curve = PayoffEngine(inst).curves(profile.weights)[agent]
+    engine = PayoffEngine(inst)
+    curve = engine.curves(engine.cdf_table(profile.weights))[agent]
     oracle = [brute_force_payoff(agent, j, profile, inst) for j in range(inst.n_bids)]
     assert curve == pytest.approx(oracle, abs=1e-12)
 
@@ -219,9 +220,9 @@ def test_alpha_one_reduces_to_first_price_bit_exactly():
         weights = profile.as_matrix()
         engine = PayoffEngine(inst)
         assert not engine._use_mixture
-        pure = engine.curves(weights)
+        pure = engine.curves(engine.cdf_table(weights))
         engine._use_mixture = True  # force the mixture code path, share is 0.0
-        mixture = engine.curves(weights)
+        mixture = engine.curves(engine.cdf_table(weights))
         assert np.array_equal(pure, mixture)
 
 

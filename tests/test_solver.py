@@ -19,9 +19,12 @@ from fbauction import (
     StrategyProfile,
     certify,
     example_1,
+    example_3,
     payoff_curve,
+    random_instance,
     run,
 )
+from fbauction.payoff import engine_for
 
 
 def _instance(values, member_sets, probs, grid_bids, alpha=1.0):
@@ -191,6 +194,55 @@ def test_simplex_preserved_across_many_steps():
     result = run(named.instance, config)
     sums = result.profile.as_matrix().sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-9
+    assert result.renormalizations == 0
+
+
+@pytest.mark.parametrize("named, ties", [(example_1(), True), (random_instance(0), False)],
+                         ids=["example-1", "random-0"])
+def test_run_matches_the_update_rule_on_strategy_weights(monkeypatch, named, ties):
+    """``run`` carries CDF tables; replaying its best replies on the weights
+    themselves, ``w <- (1 - eta) w + eta e_best``, gives the same profile.
+
+    Each replayed reply must be a best reply to the replayed profile. Example
+    1 has exact payoff ties (at step 134 levels 133 and 134 both pay
+    35511/53600), which either rounding path may break either way, so there
+    a reply only has to come within 1e-12 of the best payoff.
+    """
+    inst, steps = named.instance, 3000
+    engine = engine_for(inst)
+    plain_curves = engine.curves
+    replies = []
+
+    def recording_curves(table):
+        curves = plain_curves(table)
+        replies.append(np.argmax(curves, axis=1))
+        return curves
+
+    monkeypatch.setattr(engine, "curves", recording_curves)
+    result = run(inst, dataclasses.replace(named.config, max_iterations=steps, check_interval=steps))
+    assert len(replies) == steps + 1  # one per step, then the certificate's
+
+    w = StrategyProfile.uniform(inst.n_agents, inst.n_bids).as_matrix()
+    rows = np.arange(inst.n_agents)
+    off_argmax = 0
+    for k, best in enumerate(replies[:steps]):
+        curves = plain_curves(engine.cdf_table(w))
+        assert np.all(curves[rows, best] >= curves.max(axis=1) - 1e-12)
+        off_argmax += int(np.any(best != np.argmax(curves, axis=1)))
+        eta = named.config.schedule.rate(k)
+        w *= 1.0 - eta
+        w[rows, best] += eta
+    assert np.abs(result.profile.weights - w).max() <= 1e-12
+    assert ties or off_argmax == 0
+
+
+def test_weights_stay_exactly_on_the_simplex_through_ties():
+    # example 3 has multi-rival scenarios and many tied best replies
+    named = example_3()
+    result = run(named.instance, dataclasses.replace(named.config, max_iterations=20_000))
+    weights = result.profile.weights
+    assert weights.min() >= 0.0
+    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-15
     assert result.renormalizations == 0
 
 
