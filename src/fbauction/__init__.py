@@ -29,9 +29,6 @@ from .payoff import (
     all_payoff_curves,
     brute_force_payoff,
     conditional_scenarios,
-    expected_payoff,
-    mixed_payoff,
-    payoff_curve,
 )
 from .solver import (
     INIT_UNIFORM,
@@ -94,15 +91,12 @@ __all__ = [
     "example_3",
     "example_4",
     "example_5",
-    "expected_payoff",
     "fixture_path",
     "get_example",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",
-    "mixed_payoff",
     "participation_probabilities",
-    "payoff_curve",
     "player_payoff",
     "random_instance",
     "run",

@@ -182,8 +182,15 @@ def validate_instance(instance: AuctionInstance) -> list[str]:
 
 
 def participation_probabilities(instance: AuctionInstance) -> np.ndarray:
-    """Per-agent probability of being selected into the realized scenario."""
-    out = np.zeros(instance.n_agents)
+    """Per-agent probability of being selected into the realized scenario.
+
+    Raises ``ValueError`` naming any scenario member outside ``0..n_agents-1``.
+    """
+    n = instance.n_agents
+    unknown = sorted({m for s in instance.scenarios for m in s.members if not 0 <= m < n})
+    if unknown:
+        raise ValueError(f"scenarios reference unknown agents {unknown}")
+    out = np.zeros(n)
     for s in instance.scenarios:
         for m in s.members:
             out[m] += s.prob
@@ -215,18 +222,13 @@ class MixedStrategy:
     def __post_init__(self):
         object.__setattr__(self, "weights", _probability_rows(np.atleast_1d(self.weights), 1))
 
-    def __array__(self, dtype=None, copy=None):
-        # lets a sequence of strategies stand in for a profile's weight matrix
-        return np.array(self.weights, dtype=dtype, copy=copy)
-
 
 @dataclass(frozen=True, eq=False)
 class StrategyProfile:
     """One mixed strategy per agent, all over the same bid grid.
 
     ``weights`` is a read-only ``(n_agents, n_bids)`` matrix whose rows are
-    probability vectors; a sequence of :class:`MixedStrategy` rows of equal
-    length is accepted in its place.
+    probability vectors.
     """
 
     weights: np.ndarray
@@ -242,10 +244,6 @@ class StrategyProfile:
     def strategies(self) -> tuple[MixedStrategy, ...]:
         """The rows of ``weights`` as per-agent strategies (built on access)."""
         return tuple(MixedStrategy(row) for row in self.weights)
-
-    def as_matrix(self) -> np.ndarray:
-        """Writable copy of the weight matrix."""
-        return self.weights.copy()
 
     @classmethod
     def from_matrix(cls, weights: np.ndarray) -> "StrategyProfile":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AuctionInstance, Scenario, StrategyProfile
+from .model import AuctionInstance, Scenario, StrategyProfile, participation_probabilities
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +49,7 @@ class ConditionalScenarioTable:
 
 def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable:
     """Condition the scenario distribution on each agent's own participation."""
-    mass = np.zeros(instance.n_agents)
-    for s in instance.scenarios:
-        for m in s.members:
-            if 0 <= m < instance.n_agents:
-                mass[m] += s.prob
+    mass = participation_probabilities(instance)
     dead = np.flatnonzero(mass == 0.0)
     if dead.size:
         raise ValueError(f"agents {dead.tolist()} have zero participation probability")
@@ -190,28 +186,10 @@ def engine_for(instance: AuctionInstance) -> PayoffEngine:
     return engine
 
 
-def payoff_curve(agent: int, profile: StrategyProfile, instance: AuctionInstance) -> np.ndarray:
-    """Expected payoff of ``agent`` at every grid level against ``profile``."""
-    return all_payoff_curves(profile, instance)[agent]
-
-
 def all_payoff_curves(profile: StrategyProfile, instance: AuctionInstance) -> np.ndarray:
-    """Payoff curves for all agents at once, one row per agent."""
+    """Every agent's expected payoff at every grid level: ``[a, j]`` is agent ``a`` bidding ``grid[j]``."""
     engine = engine_for(instance)
     return engine.curves(engine.cdf_table(profile.weights))
-
-
-def expected_payoff(agent: int, bid_index: int, profile: StrategyProfile, instance: AuctionInstance) -> float:
-    """Expected payoff of ``agent`` bidding the pure level ``grid[bid_index]``."""
-    if not 0 <= bid_index < instance.n_bids:
-        raise IndexError(f"bid index {bid_index} outside grid of {instance.n_bids} levels")
-    return float(payoff_curve(agent, profile, instance)[bid_index])
-
-
-def mixed_payoff(agent: int, profile: StrategyProfile, instance: AuctionInstance) -> float:
-    """Expected payoff of ``agent`` playing its own mixed strategy."""
-    curve = payoff_curve(agent, profile, instance)
-    return float(np.dot(profile.weights[agent], curve))
 
 
 def brute_force_payoff(

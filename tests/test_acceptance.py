@@ -23,6 +23,7 @@ from fbauction import (
     PayoffEngine,
     PaymentRule,
     StrategyProfile,
+    all_payoff_curves,
     brute_force_payoff,
     cdf_distance,
     certify,
@@ -32,8 +33,6 @@ from fbauction import (
     example_3,
     example_4,
     example_5,
-    expected_payoff,
-    mixed_payoff,
     participation_probabilities,
     player_payoff,
     random_instance,
@@ -71,7 +70,8 @@ def test_criterion_1_symmetric_binary_reproduction(example1_run):
         return min(1.0 / (1.0 - b) - 1.0, 1.0) if b < 0.5 else 1.0
 
     distance = max(cdf_distance(profile.strategies[a], ref, named.instance.grid) for a in (2, 3))
-    payoffs = [mixed_payoff(a, profile, named.instance) for a in (2, 3)]
+    curves = all_payoff_curves(profile, named.instance)
+    payoffs = [np.dot(profile.weights[a], curves[a]) for a in (2, 3)]
     ok = (
         eps <= 1e-3
         and zero_mass >= 0.99
@@ -135,8 +135,9 @@ def test_criterion_6_oracle_equivalence():
             inst = random_small_instance(rng, alpha=alpha)
             profile = random_profile(rng, inst.n_agents, inst.n_bids)
             agent = int(rng.integers(inst.n_agents))
+            curve = all_payoff_curves(profile, inst)[agent]
             for j in {0, inst.n_bids - 1, int(rng.integers(inst.n_bids))}:
-                fast = expected_payoff(agent, j, profile, inst)
+                fast = curve[j]
                 slow = brute_force_payoff(agent, j, profile, inst)
                 worst = max(worst, abs(fast - slow))
             cases += 1
@@ -162,7 +163,7 @@ def test_criterion_7_player_agent_round_trip():
         inst = AuctionInstance(values, scenarios, grid, PaymentRule(alpha))
         profile = random_profile(rng, inst.n_agents, inst.n_bids)
 
-        agent_payoffs = np.array([mixed_payoff(a, profile, inst) for a in range(inst.n_agents)])
+        agent_payoffs = certify(profile, inst).payoffs
         recomposed = player_payoff(partition, agent_payoffs, participation_probabilities(inst))
         direct = exhaustive_player_payoffs(players, [s.weights for s in profile.strategies], grid.bids, alpha)
         worst = max(worst, float(np.abs(recomposed - direct).max()))
@@ -177,14 +178,14 @@ def test_criterion_7_player_agent_round_trip():
 
 def test_criterion_8_invariant_suite(example2_run):
     _named, long_run = example2_run
-    drift = float(np.abs(long_run.profile.as_matrix().sum(axis=1) - 1.0).max())
+    drift = float(np.abs(long_run.profile.weights.sum(axis=1) - 1.0).max())
     simplex_ok = drift <= 1e-9
 
     named1 = example_1()
     short = dataclasses.replace(named1.config, max_iterations=3000, check_interval=500)
     first, second = run(named1.instance, short), run(named1.instance, short)
     determinism_ok = (
-        np.array_equal(first.profile.as_matrix(), second.profile.as_matrix())
+        np.array_equal(first.profile.weights, second.profile.weights)
         and first.certificate.epsilon == second.certificate.epsilon
         and first.trajectory == second.trajectory
     )
@@ -222,7 +223,7 @@ def test_criterion_9_payment_mixture(example1_run):
     paths_equal = True
     for _ in range(5):
         inst = random_small_instance(rng, alpha=1.0)
-        weights = random_profile(rng, inst.n_agents, inst.n_bids).as_matrix()
+        weights = random_profile(rng, inst.n_agents, inst.n_bids).weights
         engine = PayoffEngine(inst)
         pure = engine.curves(engine.cdf_table(weights))
         engine._use_mixture = True  # run the mixture path with a zero share

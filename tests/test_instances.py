@@ -14,6 +14,7 @@ from fbauction import (
     PayoffEngine,
     PlayerAuction,
     StrategyProfile,
+    certify,
     conditional_scenarios,
     example_1,
     example_2,
@@ -25,7 +26,6 @@ from fbauction import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    mixed_payoff,
     participation_probabilities,
     player_payoff,
     random_instance,
@@ -134,7 +134,7 @@ def test_converted_examples_recompose_player_payoffs(builder):
     w = rng.random((coarse.n_agents, coarse.n_bids))
     w /= w.sum(axis=1, keepdims=True)
     profile = StrategyProfile.from_matrix(w)
-    agent_payoffs = np.array([mixed_payoff(a, profile, coarse) for a in range(coarse.n_agents)])
+    agent_payoffs = certify(profile, coarse).payoffs
     recomposed = player_payoff(named.partition, agent_payoffs, participation_probabilities(coarse))
     direct = exhaustive_player_payoffs(players, list(w), coarse.grid.bids, alpha=1.0)
     assert np.allclose(recomposed, direct, atol=1e-12)

@@ -14,8 +14,9 @@ from fbauction import (
     PlayerAuction,
     Scenario,
     StrategyProfile,
+    all_payoff_curves,
+    certify,
     convert_player_to_agent,
-    mixed_payoff,
     participation_probabilities,
     player_payoff,
     validate_instance,
@@ -132,11 +133,13 @@ def test_mixed_strategy_invariants():
 def test_strategy_profile_shapes():
     profile = StrategyProfile.uniform(3, 5)
     assert profile.n_agents == 3
-    assert profile.as_matrix().shape == (3, 5)
+    assert profile.weights.shape == (3, 5)
     point = StrategyProfile.point_mass(2, 4, bid_index=1)
     assert point.strategies[0].weights[1] == 1.0
     with pytest.raises(ValueError):
-        StrategyProfile((MixedStrategy(np.array([1.0])), MixedStrategy(np.array([0.5, 0.5]))))
+        StrategyProfile([[1.0], [0.5, 0.5]])
+    with pytest.raises(TypeError):  # a profile is a weight matrix, not a sequence of strategies
+        StrategyProfile((MixedStrategy(np.array([1.0, 0.0])), MixedStrategy(np.array([0.5, 0.5]))))
 
 
 def test_model_types_are_immutable():
@@ -157,6 +160,19 @@ def test_participation_probabilities():
         grid=BidGrid.uniform(1.0, 4),
     )
     assert np.allclose(participation_probabilities(inst), 0.5)
+
+
+@pytest.mark.parametrize("stray", [2, -1])
+def test_unknown_scenario_members_are_rejected(stray):
+    # member 2 would read the absent-rival row of the CDF table, and -1 would
+    # credit agent 1 with participation it never has
+    scenarios = (Scenario(frozenset({0, 1}), 0.5), Scenario(frozenset({0, stray}), 0.5))
+    inst = AuctionInstance(np.array([1.0, 1.0]), scenarios, BidGrid.uniform(1.0, 4))
+    profile = StrategyProfile.point_mass(2, 5, 4)
+    for call in (lambda: participation_probabilities(inst), lambda: all_payoff_curves(profile, inst),
+                 lambda: certify(profile, inst)):
+        with pytest.raises(ValueError, match=rf"unknown agents \[{stray}\]"):
+            call()
 
 
 # --- player-based view and conversion -------------------------------------
@@ -262,7 +278,7 @@ def test_player_payoff_at_analytic_equilibrium():
     rows = [zero_bid, g_weights, zero_bid, g_weights]  # agent order: p0v0, p0v1, p1v0, p1v1
     profile = StrategyProfile.from_matrix(np.vstack(rows))
 
-    agent_payoffs = np.array([mixed_payoff(a, profile, inst) for a in range(4)])
+    agent_payoffs = certify(profile, inst).payoffs
     recomposed = player_payoff(partition, agent_payoffs, participation_probabilities(inst))
     direct = exhaustive_player_payoffs(players, rows, bids, alpha=1.0)
     assert np.allclose(recomposed, direct, atol=1e-12)
@@ -286,7 +302,7 @@ def test_player_agent_payoff_round_trip():
         profile = random_profile(rng, inst.n_agents, inst.n_bids)
         weights = [s.weights for s in profile.strategies]
 
-        agent_payoffs = np.array([mixed_payoff(a, profile, inst) for a in range(inst.n_agents)])
+        agent_payoffs = certify(profile, inst).payoffs
         recomposed = player_payoff(partition, agent_payoffs, participation_probabilities(inst))
         direct = exhaustive_player_payoffs(players, weights, grid.bids, alpha)
         assert np.allclose(recomposed, direct, atol=1e-12)

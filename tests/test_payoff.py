@@ -21,13 +21,11 @@ from fbauction import (
     PlayerAuction,
     Scenario,
     StrategyProfile,
+    all_payoff_curves,
     brute_force_payoff,
     conditional_scenarios,
     convert_player_to_agent,
     example_1,
-    expected_payoff,
-    mixed_payoff,
-    payoff_curve,
 )
 
 
@@ -77,13 +75,13 @@ def test_bid_at_value_pays_nothing_first_price():
     rng = np.random.default_rng(0)
     for _ in range(5):
         profile = random_profile(rng, 2, 4)
-        assert expected_payoff(0, 2, profile, inst) == 0.0  # bid == value
+        assert all_payoff_curves(profile, inst)[0, 2] == 0.0  # bid == value
 
 
 def test_sole_participant_curve():
     inst = _instance([1.0], [(0,)], [1.0], [0.0, 0.5, 1.0])
     profile = StrategyProfile.uniform(1, 3)
-    curve = payoff_curve(0, profile, inst)
+    curve = all_payoff_curves(profile, inst)[0]
     assert curve.tolist() == [1.0, 0.5, 0.0]
 
 
@@ -92,11 +90,11 @@ def test_certain_win_and_tie_against_point_mass():
     inst = _instance([1.0, 1.0], [(0, 1)], [1.0], grid)
     rival_low = StrategyProfile.from_matrix(np.array([[0, 0, 1, 0], [0, 1, 0, 0]], dtype=float))
     # rival point mass strictly below: certain win, pay own bid
-    assert expected_payoff(0, 2, rival_low, inst) == pytest.approx(0.5, abs=1e-15)
+    assert all_payoff_curves(rival_low, inst)[0, 2] == pytest.approx(0.5, abs=1e-15)
     assert brute_force_payoff(0, 2, rival_low, inst) == pytest.approx(0.5, abs=1e-15)
     # rival point mass exactly at the bid: ties lose
     rival_tie = StrategyProfile.from_matrix(np.array([[0, 0, 1, 0], [0, 0, 1, 0]], dtype=float))
-    assert expected_payoff(0, 2, rival_tie, inst) == 0.0
+    assert all_payoff_curves(rival_tie, inst)[0, 2] == 0.0
     assert brute_force_payoff(0, 2, rival_tie, inst) == 0.0
 
 
@@ -104,19 +102,7 @@ def test_bid_index_out_of_range():
     inst = _instance([1.0], [(0,)], [1.0], [0.0, 1.0])
     profile = StrategyProfile.uniform(1, 2)
     with pytest.raises(IndexError):
-        expected_payoff(0, 2, profile, inst)
-    with pytest.raises(IndexError):
         brute_force_payoff(0, 5, profile, inst)
-
-
-def test_curve_matches_per_index_calls():
-    rng = np.random.default_rng(11)
-    inst = random_small_instance(rng, alpha=0.5)
-    profile = random_profile(rng, inst.n_agents, inst.n_bids)
-    for a in range(inst.n_agents):
-        curve = payoff_curve(a, profile, inst)
-        for j in range(inst.n_bids):
-            assert curve[j] == expected_payoff(a, j, profile, inst)
 
 
 def test_engine_matches_brute_force():
@@ -126,8 +112,9 @@ def test_engine_matches_brute_force():
             inst = random_small_instance(rng, alpha=alpha)
             profile = random_profile(rng, inst.n_agents, inst.n_bids)
             agent = int(rng.integers(inst.n_agents))
+            curve = all_payoff_curves(profile, inst)[agent]
             for j in {0, inst.n_bids - 1, int(rng.integers(inst.n_bids))}:
-                fast = expected_payoff(agent, j, profile, inst)
+                fast = curve[j]
                 slow = brute_force_payoff(agent, j, profile, inst)
                 assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -181,11 +168,12 @@ def test_mixed_payoff_degenerate_and_uniform():
     w[0] = 0.0
     w[0, j] = 1.0
     profile = StrategyProfile.from_matrix(w)
-    assert mixed_payoff(0, profile, inst) == expected_payoff(0, j, profile, inst)
+    curve = all_payoff_curves(profile, inst)[0]
+    assert np.dot(profile.weights[0], curve) == curve[j]
     # uniform strategy: mixed payoff is the average of the brute-force curve
     uniform = StrategyProfile.from_matrix(np.full((n, nb), 1.0 / nb))
     oracle = np.mean([brute_force_payoff(0, k, uniform, inst) for k in range(nb)])
-    assert mixed_payoff(0, uniform, inst) == pytest.approx(oracle, abs=1e-12)
+    assert np.dot(uniform.weights[0], all_payoff_curves(uniform, inst)[0]) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_first_price_payoff_bounds():
@@ -193,8 +181,7 @@ def test_first_price_payoff_bounds():
     for _ in range(10):
         inst = random_small_instance(rng, alpha=1.0)
         profile = random_profile(rng, inst.n_agents, inst.n_bids)
-        for a in range(inst.n_agents):
-            curve = payoff_curve(a, profile, inst)
+        for a, curve in enumerate(all_payoff_curves(profile, inst)):
             assert curve[0] >= -1e-15  # bidding 0 can never lose money
             margin = inst.values[a] - inst.grid.bids
             assert np.all(curve <= np.maximum(margin, 0.0) + 1e-15)
@@ -217,7 +204,7 @@ def test_alpha_one_reduces_to_first_price_bit_exactly():
     for _ in range(8):
         inst = random_small_instance(rng, alpha=1.0)
         profile = random_profile(rng, inst.n_agents, inst.n_bids)
-        weights = profile.as_matrix()
+        weights = profile.weights
         engine = PayoffEngine(inst)
         assert not engine._use_mixture
         pure = engine.curves(engine.cdf_table(weights))
@@ -232,13 +219,13 @@ def test_mixture_halves_payment_between_bids():
     profile = StrategyProfile.from_matrix(np.array([[0, 0, 1], [0, 1, 0]], dtype=float))
     # win at 0.5 against 0.25: pay (0.5 + 0.25) / 2
     expected = 1.0 - (0.5 + 0.25) / 2.0
-    assert expected_payoff(0, 2, profile, inst) == pytest.approx(expected, abs=1e-15)
+    assert all_payoff_curves(profile, inst)[0, 2] == pytest.approx(expected, abs=1e-15)
 
 
 def test_singleton_scenario_pays_alpha_times_bid():
     inst = _instance([1.0], [(0,)], [1.0], [0.0, 0.5, 1.0], alpha=0.5)
     profile = StrategyProfile.uniform(1, 3)
-    curve = payoff_curve(0, profile, inst)
+    curve = all_payoff_curves(profile, inst)[0]
     assert curve == pytest.approx([1.0, 0.75, 0.5], abs=1e-15)
 
 
@@ -252,20 +239,20 @@ def test_symmetric_binary_instance_flat_payoff():
     named = example_1()
     inst = named.instance
     profile = symmetric_binary_analytic_profile(inst)
-    curve = payoff_curve(2, profile, inst)
+    curve = all_payoff_curves(profile, inst)[2]
     half = np.searchsorted(inst.grid.bids, 0.5)
     assert np.abs(curve[1 : half + 1] - 0.5).max() <= 2.6e-3
     assert np.all(curve[half + 1 :] < 0.5)
-    assert mixed_payoff(2, profile, inst) == pytest.approx(0.5, abs=0.01)
+    assert np.dot(profile.weights[2], curve) == pytest.approx(0.5, abs=0.01)
 
 
 def test_payoff_curves_threadsafe():
     named = example_1()
     inst = named.instance
     profile = symmetric_binary_analytic_profile(inst)
-    expected = [payoff_curve(a, profile, inst) for a in range(4)]
+    expected = list(all_payoff_curves(profile, inst))
     with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(lambda a: payoff_curve(a, profile, inst), range(4)))
+        got = list(pool.map(lambda a: all_payoff_curves(profile, inst)[a], range(4)))
     for want, have in zip(expected, got):
         assert np.array_equal(want, have)
 

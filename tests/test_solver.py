@@ -17,10 +17,10 @@ from fbauction import (
     Scenario,
     SolverConfig,
     StrategyProfile,
+    all_payoff_curves,
     certify,
     example_1,
     example_3,
-    payoff_curve,
     random_instance,
     run,
 )
@@ -73,7 +73,7 @@ def test_best_response_sole_participant():
     inst = _instance([1.0], [(0,)], [1.0], [0.0, 0.5, 1.0])
     profile = StrategyProfile.uniform(1, 3)
     assert certify(profile, inst).best_response_bids.tolist() == [0]
-    assert payoff_curve(0, profile, inst)[0] == 1.0
+    assert all_payoff_curves(profile, inst)[0, 0] == 1.0
 
 
 def test_best_response_breaks_ties_to_lowest_index():
@@ -82,7 +82,7 @@ def test_best_response_breaks_ties_to_lowest_index():
     profile = StrategyProfile.uniform(1, 3)
     index = certify(profile, inst).best_response_bids[0]
     assert index == 0
-    assert payoff_curve(0, profile, inst)[index] == 0.75
+    assert all_payoff_curves(profile, inst)[0, index] == 0.75
 
 
 def test_best_response_on_a_flat_payoff_region():
@@ -93,7 +93,7 @@ def test_best_response_on_a_flat_payoff_region():
     index = certify(profile, named.instance).best_response_bids[2]
     bid = named.instance.grid.bids[index]
     assert 0.0 < bid <= 0.5
-    assert payoff_curve(2, profile, named.instance)[index] == pytest.approx(0.5, abs=2.6e-3)
+    assert all_payoff_curves(profile, named.instance)[2, index] == pytest.approx(0.5, abs=2.6e-3)
 
 
 def test_fb_step_full_rate_gives_point_masses():
@@ -151,7 +151,7 @@ def test_run_zero_iterations_certifies_initialization():
     config = dataclasses.replace(named.config, max_iterations=0)
     result = run(named.instance, config)
     assert result.iterations_run == 0
-    assert np.array_equal(result.profile.as_matrix(), StrategyProfile.uniform(4, 401).as_matrix())
+    assert np.array_equal(result.profile.weights, StrategyProfile.uniform(4, 401).weights)
     assert result.certificate.epsilon > 0.1  # uniform start is far from equilibrium
     assert result.trajectory == ((0, result.certificate.epsilon),)
 
@@ -161,7 +161,7 @@ def test_run_is_deterministic():
     config = dataclasses.replace(named.config, max_iterations=3000, check_interval=500)
     first = run(named.instance, config)
     second = run(named.instance, config)
-    assert np.array_equal(first.profile.as_matrix(), second.profile.as_matrix())
+    assert np.array_equal(first.profile.weights, second.profile.weights)
     assert first.certificate.epsilon == second.certificate.epsilon
     assert first.trajectory == second.trajectory
     assert first.iterations_run == second.iterations_run == 3000
@@ -192,7 +192,7 @@ def test_simplex_preserved_across_many_steps():
     named = example_1()
     config = dataclasses.replace(named.config, max_iterations=20_000)
     result = run(named.instance, config)
-    sums = result.profile.as_matrix().sum(axis=1)
+    sums = result.profile.weights.sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-9
     assert result.renormalizations == 0
 
@@ -222,7 +222,7 @@ def test_run_matches_the_update_rule_on_strategy_weights(monkeypatch, named, tie
     result = run(inst, dataclasses.replace(named.config, max_iterations=steps, check_interval=steps))
     assert len(replies) == steps + 1  # one per step, then the certificate's
 
-    w = StrategyProfile.uniform(inst.n_agents, inst.n_bids).as_matrix()
+    w = StrategyProfile.uniform(inst.n_agents, inst.n_bids).weights.copy()
     rows = np.arange(inst.n_agents)
     off_argmax = 0
     for k, best in enumerate(replies[:steps]):
@@ -279,7 +279,7 @@ def test_explicit_initialization_is_respected():
     start = random_profile(rng, 4, named.instance.n_bids)
     config = dataclasses.replace(named.config, max_iterations=0, init=start)
     result = run(named.instance, config)
-    assert np.array_equal(result.profile.as_matrix(), start.as_matrix())
+    assert np.array_equal(result.profile.weights, start.weights)
     bad = StrategyProfile.uniform(4, 10)
     with pytest.raises(ValueError):
         run(named.instance, dataclasses.replace(named.config, init=bad, max_iterations=1))

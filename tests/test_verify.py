@@ -11,11 +11,11 @@ from fbauction import (
     MixedStrategy,
     Scenario,
     StrategyProfile,
+    all_payoff_curves,
     brute_force_payoff,
     cdf_distance,
     certificate_to_json,
     certify,
-    mixed_payoff,
 )
 
 
@@ -62,11 +62,10 @@ def test_no_mixed_deviation_beats_the_gap():
     cert = certify(profile, inst)
     for _ in range(20):
         agent = int(rng.integers(inst.n_agents))
-        deviation = random_profile(rng, 1, inst.n_bids).strategies[0]
-        strategies = list(profile.strategies)
-        strategies[agent] = deviation
-        deviated = StrategyProfile(tuple(strategies))
-        gain = mixed_payoff(agent, deviated, inst) - cert.payoffs[agent]
+        weights = profile.weights.copy()
+        weights[agent] = random_profile(rng, 1, inst.n_bids).weights[0]
+        deviated = StrategyProfile(weights)
+        gain = np.dot(deviated.weights[agent], all_payoff_curves(deviated, inst)[agent]) - cert.payoffs[agent]
         assert gain <= cert.gaps[agent] + 1e-12
 
 
