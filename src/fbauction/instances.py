@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model
 from .model import (
     AgentPartition,
     AuctionInstance,
@@ -163,6 +164,10 @@ def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> Nam
     """
     if n_agents < 2 or n_scenarios < 1:
         raise ValueError("need at least two agents and one scenario to form pairs")
+    grid = BidGrid.uniform(1.0, 100)
+    limit = model.MAX_TABLE_CELLS  # read at call time
+    if n_agents * len(grid) > limit:  # the table the instance needs if every agent draws a pair
+        raise ValueError(f"{n_agents} agents x {len(grid)} grid levels exceed the {limit}-cell table limit")
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, size=n_agents)
     prob = 1.0 / n_scenarios
@@ -170,17 +175,12 @@ def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> Nam
 
     covered = sorted({int(m) for pair in pairs for m in pair})
     if len(covered) < n_agents:
-        dropped = sorted(set(range(n_agents)) - set(covered))
-        warnings.warn(f"seed {seed}: agents {dropped} drew no scenario and were dropped")
+        warnings.warn(f"seed {seed}: {n_agents - len(covered)} of {n_agents} agents drew no scenario and were dropped")
     relabel = {old: new for new, old in enumerate(covered)}
     scenarios = tuple(
         Scenario(frozenset(relabel[int(m)] for m in pair), prob) for pair in pairs
     )
-    instance = AuctionInstance(
-        values=values[covered],
-        scenarios=scenarios,
-        grid=BidGrid.uniform(1.0, 100),
-    )
+    instance = AuctionInstance(values=values[covered], scenarios=scenarios, grid=grid)
     return NamedInstance(f"random-seed{seed}", instance, _recommended(1_000_000))
 
 

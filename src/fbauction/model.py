@@ -165,20 +165,21 @@ def validate_instance(instance: AuctionInstance) -> list[str]:
     n = instance.n_agents
     if n * instance.n_bids > MAX_TABLE_CELLS:
         problems.append(f"{n} agents x {instance.n_bids} grid levels exceed the {MAX_TABLE_CELLS}-cell table limit")
-    for s in instance.scenarios:
-        unknown = sorted(m for m in s.members if m < 0 or m >= n)
-        if unknown:
-            problems.append(f"scenario {sorted(s.members)} references unknown agents {unknown}")
+    members, unknown = _scenario_members(instance)
+    if unknown:
+        problems.append(unknown)
     total = float(sum(s.prob for s in instance.scenarios))
     if abs(total - 1.0) > PROB_TOL:
         problems.append(f"scenario probabilities sum to {total:.6g}")
-    covered: set[int] = set()
-    for s in instance.scenarios:
-        covered |= s.members
-    for a in range(n):
-        if a not in covered:
-            problems.append(f"agent {a} never participates in any scenario")
+    problems.extend(f"agent {a} never participates in any scenario" for a in sorted(set(range(n)) - members))
     return problems
+
+
+def _scenario_members(instance: AuctionInstance) -> tuple[set[int], str | None]:
+    """The union of scenario members, and the problem naming those outside ``0..n_agents-1`` (None if none is)."""
+    members = set().union(*(s.members for s in instance.scenarios))
+    unknown = sorted(m for m in members if not 0 <= m < instance.n_agents)
+    return members, f"scenarios reference unknown agents {unknown}" if unknown else None
 
 
 def participation_probabilities(instance: AuctionInstance) -> np.ndarray:
@@ -186,11 +187,10 @@ def participation_probabilities(instance: AuctionInstance) -> np.ndarray:
 
     Raises ``ValueError`` naming any scenario member outside ``0..n_agents-1``.
     """
-    n = instance.n_agents
-    unknown = sorted({m for s in instance.scenarios for m in s.members if not 0 <= m < n})
+    unknown = _scenario_members(instance)[1]
     if unknown:
-        raise ValueError(f"scenarios reference unknown agents {unknown}")
-    out = np.zeros(n)
+        raise ValueError(unknown)
+    out = np.zeros(instance.n_agents)
     for s in instance.scenarios:
         for m in s.members:
             out[m] += s.prob

@@ -62,17 +62,16 @@ def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable
 class PayoffEngine:
     """Vectorized payoff-curve evaluator bound to one auction instance.
 
-    Agents with identical conditional scenario structure (same rival sets,
-    same conditional probabilities -- e.g. same-player agents of a converted
-    independent-values auction) form one group. Each column of the
-    aggregation matrix ``qmat`` is one distinct rival set, numbered by first
-    appearance, and ``qmat[g, set]`` is group ``g``'s conditional probability
-    of facing it: ``curves`` multiplies the rivals' strict CDFs once per set
-    and mixes the sets into the groups with one matrix product. When no
-    scenario has more than one rival the sets are the CDF rows themselves
-    (column ``n_agents`` is the all-ones row of a rival-free scenario), and
-    nothing is gathered or multiplied. ``dedup`` is accepted for
-    compatibility and ignored: agents are always grouped.
+    Each column of the aggregation matrix ``qmat`` is one distinct rival
+    set, numbered by first appearance, and ``qmat[a, set]`` is agent ``a``'s
+    conditional probability of facing it: ``curves`` multiplies the rivals'
+    strict CDFs once per set and mixes the sets into the agents with one
+    matrix product. When no scenario has more than one rival the sets are
+    the CDF rows themselves (column ``n_agents`` is the all-ones row of a
+    rival-free scenario), and nothing is gathered or multiplied.
+    ``n_groups`` counts the distinct conditional structures (rival sets and
+    their probabilities) among the agents; ``dedup`` is accepted for
+    compatibility and ignored.
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
@@ -88,15 +87,9 @@ class PayoffEngine:
         bids = instance.grid.bids
         table = conditional_scenarios(instance)
 
-        group_index: dict[tuple, int] = {}
-        group_of_agent = np.empty(n, dtype=np.intp)
-        for a in range(n):
-            key = tuple((tuple(sorted(s.members - {a})), q) for s, q in table.entries[a])
-            group_of_agent[a] = group_index.setdefault(key, len(group_index))
-        group_items = list(group_index)  # insertion order is group order
-
+        rows = [tuple((tuple(sorted(s.members - {a})), q) for s, q in table.entries[a]) for a in range(n)]
         column: dict[tuple[int, ...], int] = {}  # rival set -> column, by first appearance
-        for items in group_items:
+        for items in rows:
             for rivals, _q in items:
                 column.setdefault(rivals, len(column))
         max_rivals = max(map(len, column), default=0)
@@ -111,10 +104,10 @@ class PayoffEngine:
             for rivals, col in column.items():
                 set_members[col, : len(rivals)] = rivals
             n_columns = len(column)
-        qmat = np.zeros((len(group_items), n_columns))
-        for g, items in enumerate(group_items):
+        qmat = np.zeros((n, n_columns))
+        for a, items in enumerate(rows):
             for rivals, q in items:
-                qmat[g, column[rivals]] = q
+                qmat[a, column[rivals]] = q
 
         self._n = n
         self._n_bids = bids.size
@@ -124,9 +117,8 @@ class PayoffEngine:
         self._bids = bids
         self._set_members = set_members
         self._qmat = qmat
-        self._group_of_agent = group_of_agent
         self._value_margin = instance.values[:, None] - self._alpha * bids[None, :]
-        self.n_groups = len(group_items)
+        self.n_groups = len(set(rows))
 
     @property
     def instance(self) -> AuctionInstance | None:
@@ -161,16 +153,14 @@ class PayoffEngine:
             set_win = below                           # one rival: its CDF row is the set's
         else:
             set_win = below[self._set_members].prod(axis=1)  # P(top rival < level), per set
-        group_win = self._qmat @ set_win              # conditional mixture, per group
-
-        agent_win = group_win[self._group_of_agent]
-        curves = self._value_margin * agent_win[:, :-1]
+        win = self._qmat @ set_win                    # conditional mixture, per agent
+        curves = self._value_margin * win[:, :-1]
         if self._use_mixture:
-            top_pmf = np.diff(group_win, axis=1)      # P(top rival bids exactly grid[m])
+            top_pmf = np.diff(win, axis=1)            # P(top rival bids exactly grid[m])
             partial = np.empty_like(top_pmf)
             partial[:, 0] = 0.0
             np.cumsum((top_pmf * self._bids)[:, :-1], axis=1, out=partial[:, 1:])
-            curves -= self._second_price_share * partial[self._group_of_agent]
+            curves -= self._second_price_share * partial
         return curves
 
 

@@ -14,7 +14,12 @@ both operations are monotone in floating point, so they are never negative.
 With ``eta_k = 1/(k+1)`` the profile is the running empirical frequency of
 past best replies (classical fictitious play); with constant ``eta`` it is an
 exponential moving average that progressively forgets the initialization.
-Best-reply ties break to the lowest grid index, so runs are deterministic.
+Each best reply is the lowest grid index among the largest *computed*
+payoffs (``argmax``), so a run is deterministic for one build. Bids whose
+payoffs tie in exact arithmetic can differ in the last bit, and then the
+rounding picks the reply: on example 1 at step 134, levels 133 and 134 pay
+the same. Another summation order can break such a tie the other way (see
+ROADMAP.md item 1, best replies that do not depend on summation order).
 """
 from __future__ import annotations
 

@@ -26,8 +26,10 @@ class EquilibriumCertificate:
 
     ``gaps[a]`` is how much agent ``a`` could gain by deviating to its best
     pure bid, ``payoffs[a]`` its achieved expected payoff, and
-    ``best_response_bids[a]`` the lowest grid index attaining the best reply.
-    ``epsilon`` is the maximum gap.
+    ``best_response_bids[a]`` the lowest grid index attaining the largest
+    computed payoff; payoffs equal in exact arithmetic can differ in the last
+    bit, so that is not always the lowest of the exactly tied bids (ROADMAP.md
+    item 1). ``epsilon`` is the maximum gap.
     """
 
     epsilon: float

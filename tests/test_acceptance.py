@@ -190,6 +190,7 @@ def test_criterion_8_invariant_suite(example2_run):
         and first.trajectory == second.trajectory
     )
 
+    # distinct conditional structures among example 4's agents (one aggregation row per agent)
     shared_groups = PayoffEngine(example_4().instance).n_groups
 
     # classical fictitious play: equal-weight averaging from a point-mass start
@@ -212,7 +213,7 @@ def test_criterion_8_invariant_suite(example2_run):
         ok,
         f"simplex drift over 1e6 steps={drift:.1e} (<=1e-9, {long_run.renormalizations} renormalizations), "
         f"determinism={'bit-identical' if determinism_ok else 'MISMATCH'}, "
-        f"example-4 engine groups={shared_groups}/9, "
+        f"example-4 conditional structures={shared_groups}/9 agents, "
         f"classical-FP replay={'exact' if replay_ok else 'MISMATCH'} over {steps} steps",
     )
 

@@ -187,6 +187,18 @@ def test_solve_oversized_grid_exits_2_before_allocating(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_oversized_random_instance_exits_2(tmp_path, capsys, monkeypatch):
+    # one pair of 10 agents keeps 2 agents, well inside the limit; the generator
+    # must refuse the 10 agents it draws values for, before drawing them
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 1000)
+    out = tmp_path / "out"
+    argv = ["solve", "--example", "random", "--n-agents", "10", "--n-scenarios", "1", "--max-iters", "10"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid input: 10 agents x 101 grid levels exceed the 1000-cell table limit"]
+    assert not out.exists()
+
+
 def test_solve_unreadable_file_exits_1(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")

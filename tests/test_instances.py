@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import fbauction
 from conftest import exhaustive_player_payoffs, instances_match
 from fbauction import (
     AuctionInstance,
@@ -100,7 +101,7 @@ def test_example_4_structure():
     assert part[3:6] == pytest.approx([0.05, 0.45, 0.5])
     assert part[6:] == pytest.approx([0.05, 0.45, 0.5])
     assert float(inst.grid.bids[-1]) == 0.25
-    # same-player agents share rival structure, so the engine groups them
+    # same-player agents share rival structure: 5 distinct conditional structures
     assert PayoffEngine(inst).n_groups == 5
 
 
@@ -167,6 +168,21 @@ def test_random_instance_prunes_uncovered_agents():
     inst = named.instance
     assert inst.n_agents == 2
     assert validate_instance(inst) == []
+
+
+def test_random_instance_reports_dropped_agents_by_count():
+    # 49 998 of the 50 000 agents are dropped; the warning counts them, not lists them
+    with pytest.warns(UserWarning, match="drew no scenario") as record:
+        random_instance(0, n_agents=50_000, n_scenarios=1)
+    (warning,) = record
+    assert len(str(warning.message)) < 200
+
+
+def test_random_instance_rejects_oversized_table_before_drawing(monkeypatch):
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 10 * 101 - 1)
+    with pytest.raises(ValueError, match="^10 agents x 101 grid levels exceed the 1009-cell table limit$"):
+        random_instance(0, n_agents=10)
+    assert random_instance(0, n_agents=9).instance.n_bids == 101
 
 
 def test_random_instance_needs_two_agents():

@@ -122,6 +122,12 @@ def test_validate_reports_unknown_member_and_negative_value():
     assert any("agent 1 never participates" in msg for msg in report)
 
 
+def test_validate_reports_an_unknown_member_once():
+    scenarios = (Scenario(frozenset({0, 2}), 0.5), Scenario(frozenset({1, 2}), 0.5))
+    inst = AuctionInstance(np.array([0.1, 0.2]), scenarios, BidGrid.uniform(1.0, 4))
+    assert validate_instance(inst) == ["scenarios reference unknown agents [2]"]
+
+
 def test_mixed_strategy_invariants():
     MixedStrategy(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
