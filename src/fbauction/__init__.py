@@ -30,14 +30,7 @@ from .payoff import (
     brute_force_payoff,
     conditional_scenarios,
 )
-from .solver import (
-    INIT_UNIFORM,
-    INIT_ZERO_BID,
-    LearningSchedule,
-    SolverConfig,
-    SolverResult,
-    run,
-)
+from .solver import LearningSchedule, SolverConfig, SolverResult, run
 from .verify import EquilibriumCertificate, cdf_distance, certificate_to_json, certify
 from .instances import (
     BUILTIN_EXAMPLES,
@@ -66,8 +59,6 @@ __all__ = [
     "ConditionalScenarioTable",
     "EquilibriumCertificate",
     "FIRST_PRICE",
-    "INIT_UNIFORM",
-    "INIT_ZERO_BID",
     "InvalidInstanceError",
     "LearningSchedule",
     "MixedStrategy",

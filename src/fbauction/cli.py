@@ -35,7 +35,7 @@ from .model import (
     StrategyProfile,
     validate_instance,
 )
-from .payoff import all_payoff_curves
+from .payoff import all_payoff_curves, engine_for
 from .solver import LearningSchedule, SolverConfig, run
 from .verify import certificate_to_json, certify
 
@@ -98,7 +98,9 @@ def _load(args, seed: int | None = None) -> tuple[str, dict, AuctionInstance, So
     """The input pipeline: source (--example/--file), then override flags, then validation.
 
     Returns the instance's name and identity (for the manifest), the validated
-    instance and its config after the overrides.
+    instance and its config after the overrides. The instance's payoff engine
+    is built here, so an aggregation matrix above the table limit is an input
+    error too, and the solve reuses the cached engine.
     """
     if args.file is not None:
         name, instance, config = Path(args.file).stem, load_instance(args.file), SolverConfig()
@@ -114,6 +116,7 @@ def _load(args, seed: int | None = None) -> tuple[str, dict, AuctionInstance, So
     problems = validate_instance(instance)
     if problems:
         raise InvalidInstanceError(problems)
+    engine_for(instance)
     return name, identity, instance, config
 
 

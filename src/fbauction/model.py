@@ -27,10 +27,12 @@ import numpy as np
 
 PROB_TOL = 1e-9
 
-# Largest agents x grid-levels table an instance may need. The solver and
-# the payoff engine each hold a few float64 tables of this size (8 bytes a
-# cell, so 80 MB each at the limit); BidGrid.uniform checks it before it
-# allocates, and validate_instance reports instances above it.
+# Largest table an instance may need, in float64 cells (8 bytes each, so
+# 80 MB a table at the limit). The solver and the payoff engine hold a few
+# agents x grid-levels tables: BidGrid.uniform checks the levels before it
+# allocates, and validate_instance reports instances above the limit. The
+# engine's aggregation matrix is agents x distinct rival sets: PayoffEngine
+# raises InvalidInstanceError before it allocates one above the limit.
 MAX_TABLE_CELLS = 10_000_000
 
 
@@ -321,15 +323,13 @@ class PlayerAuction:
 
 @dataclass(frozen=True, eq=False)
 class AgentPartition:
-    """Back-references from converted agents to their (player, value) origin."""
+    """Back-references from converted agents to their player; ``blocks[p]`` lists player ``p``'s agents by value."""
 
     blocks: tuple[tuple[int, ...], ...]
     agent_player: np.ndarray
-    agent_value_index: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "agent_player", np.asarray(self.agent_player, dtype=np.intp))
-        object.__setattr__(self, "agent_value_index", np.asarray(self.agent_value_index, dtype=np.intp))
 
     @property
     def n_players(self) -> int:
@@ -360,7 +360,6 @@ def convert_player_to_agent(auction: PlayerAuction) -> tuple[np.ndarray, tuple[S
     partition = AgentPartition(
         blocks=blocks,
         agent_player=np.repeat(np.arange(len(sizes)), sizes),
-        agent_value_index=np.concatenate([np.arange(s) for s in sizes]),
     )
     scenarios = []
     for idx in np.ndindex(*auction.joint.shape):

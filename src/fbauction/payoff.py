@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AuctionInstance, Scenario, StrategyProfile, participation_probabilities
+from . import model
+from .model import AuctionInstance, InvalidInstanceError, Scenario, StrategyProfile, participation_probabilities
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +54,11 @@ def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable
     dead = np.flatnonzero(mass == 0.0)
     if dead.size:
         raise ValueError(f"agents {dead.tolist()} have zero participation probability")
-    rows: list[tuple[tuple[Scenario, float], ...]] = []
-    for a in range(instance.n_agents):
-        rows.append(tuple((s, s.prob / mass[a]) for s in instance.scenarios if a in s.members))
-    return ConditionalScenarioTable(tuple(rows))
+    rows: list[list[tuple[Scenario, float]]] = [[] for _ in range(instance.n_agents)]
+    for s in instance.scenarios:  # one pass, so each row keeps the scenario order
+        for a in s.members:
+            rows[a].append((s, s.prob / mass[a]))
+    return ConditionalScenarioTable(tuple(map(tuple, rows)))
 
 
 class PayoffEngine:
@@ -71,7 +73,8 @@ class PayoffEngine:
     rival-free scenario), and nothing is gathered or multiplied.
     ``n_groups`` counts the distinct conditional structures (rival sets and
     their probabilities) among the agents; ``dedup`` is accepted for
-    compatibility and ignored.
+    compatibility and ignored. An instance whose ``qmat`` would exceed
+    ``model.MAX_TABLE_CELLS`` raises :class:`InvalidInstanceError`.
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
@@ -104,6 +107,9 @@ class PayoffEngine:
             for rivals, col in column.items():
                 set_members[col, : len(rivals)] = rivals
             n_columns = len(column)
+        limit = model.MAX_TABLE_CELLS  # read at call time
+        if n * n_columns > limit:
+            raise InvalidInstanceError([f"{n} agents x {n_columns} rival sets exceed the {limit}-cell table limit"])
         qmat = np.zeros((n, n_columns))
         for a, items in enumerate(rows):
             for rivals, q in items:

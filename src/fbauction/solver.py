@@ -33,9 +33,6 @@ from .verify import EquilibriumCertificate, certify
 
 DRIFT_TOL = 1e-9
 
-INIT_UNIFORM = "uniform"
-INIT_ZERO_BID = "point-mass-at-zero"
-
 
 @dataclass(frozen=True)
 class LearningSchedule:
@@ -74,20 +71,20 @@ class LearningSchedule:
 class SolverConfig:
     """Everything needed to reproduce a solver run.
 
-    ``init`` is ``"uniform"``, ``"point-mass-at-zero"``, or an explicit
-    :class:`StrategyProfile`. An epsilon certificate is computed every
-    ``check_interval`` iterations (each check costs about one iteration);
-    when ``epsilon_target`` is set the run stops at the first check that
-    reaches it. ``independent_player_cache`` is accepted for compatibility
-    and ignored: the payoff engine always shares aggregation between agents
-    with identical rival structure.
+    ``init`` is the starting :class:`StrategyProfile`, or ``None`` for the
+    uniform one. An epsilon certificate is computed every ``check_interval``
+    iterations and after the last one (each check costs about one
+    iteration); when ``epsilon_target`` is set the run stops at the first
+    check that reaches it. ``independent_player_cache`` is accepted for
+    compatibility and ignored: the payoff engine has one aggregation row per
+    agent and builds nothing per player.
     """
 
     schedule: LearningSchedule = field(default_factory=LearningSchedule)
     max_iterations: int = 100_000
     epsilon_target: float | None = None
     check_interval: int = 1000
-    init: str | StrategyProfile = INIT_UNIFORM
+    init: StrategyProfile | None = None
     independent_player_cache: bool = False
 
     def __post_init__(self):
@@ -95,20 +92,19 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.check_interval < 1:
             raise ValueError("check_interval must be >= 1")
-        if isinstance(self.init, str) and self.init not in (INIT_UNIFORM, INIT_ZERO_BID):
-            raise ValueError(f"unknown initialization {self.init!r}")
+        if not (self.init is None or isinstance(self.init, StrategyProfile)):
+            raise ValueError(f"init must be a StrategyProfile or None, got {self.init!r}")
         if self.epsilon_target is not None and not self.epsilon_target >= 0:
             raise ValueError(f"epsilon_target must be >= 0, got {self.epsilon_target}")
 
     def echo(self) -> dict:
         """JSON-friendly snapshot of the configuration."""
-        init = self.init if isinstance(self.init, str) else "explicit"
         return {
             "schedule": {"kind": self.schedule.kind, "coefficient": self.schedule.coefficient},
             "max_iterations": self.max_iterations,
             "epsilon_target": self.epsilon_target,
             "check_interval": self.check_interval,
-            "init": init,
+            "init": "uniform" if self.init is None else "explicit",
         }
 
 
@@ -123,17 +119,6 @@ class SolverResult:
     renormalizations: int = 0
 
 
-def _initial_profile(config: SolverConfig, n_agents: int, n_bids: int) -> StrategyProfile:
-    if isinstance(config.init, StrategyProfile):
-        shape = config.init.weights.shape
-        if shape != (n_agents, n_bids):
-            raise ValueError(f"explicit initialization has shape {shape}, instance needs ({n_agents}, {n_bids})")
-        return config.init
-    if config.init == INIT_ZERO_BID:
-        return StrategyProfile.point_mass(n_agents, n_bids)
-    return StrategyProfile.uniform(n_agents, n_bids)
-
-
 def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     """Run fictitious bidding on ``instance`` until the budget or target is hit.
 
@@ -146,53 +131,45 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
 
     engine = engine_for(instance)
     n, n_bids = instance.n_agents, instance.n_bids
-    init = _initial_profile(config, n, n_bids)
-    cdf = engine.cdf_table(init.weights)
+    init = StrategyProfile.uniform(n, n_bids) if config.init is None else config.init
+    cdf = engine.cdf_table(init.weights)  # raises ValueError on a wrongly shaped init
     agent_cdf = cdf[:n]  # a view; the last row stays all ones
     levels = np.arange(n_bids + 1)
 
+    profile = init
     renormalizations = 0
     trajectory: list[tuple[int, float]] = []
-
-    def check(iterations: int) -> tuple[StrategyProfile, EquilibriumCertificate]:
-        # the update is an exact convex mix, so rounding drift is ~1e-16 per
-        # step; rows that drift further are renormalized before certification
-        nonlocal renormalizations
-        if iterations == 0:
-            profile = init  # the table's row differences match it only up to rounding
-        else:
-            totals = agent_cdf[:, -1]
-            bad = np.abs(totals - 1.0) > DRIFT_TOL
-            if bad.any():
-                agent_cdf[bad] /= totals[bad, None]
-                renormalizations += int(bad.sum())
-            profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
-        certificate = certify(profile, instance)
-        trajectory.append((iterations, certificate.epsilon))
-        return profile, certificate
-
-    checked_at = -1
-    iterations = 0
-    for k in range(config.max_iterations):
-        curves = engine.curves(cdf)
-        best = np.argmax(curves, axis=1)
-        eta = config.schedule.rate(k)
+    last = config.max_iterations
+    for k in range(1, last + 1):
+        best = np.argmax(engine.curves(cdf), axis=1)
+        eta = config.schedule.rate(k - 1)
         agent_cdf *= 1.0 - eta
         np.add(agent_cdf, eta, out=agent_cdf, where=levels > best[:, None])
-        iterations = k + 1
+        if k % config.check_interval and k < last:
+            continue
 
-        if iterations % config.check_interval == 0:
-            profile, certificate = check(iterations)
-            checked_at = iterations
-            if config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
-                break
+        # the update is an exact convex mix, so rounding drift is ~1e-16 per
+        # step; rows that drift further are renormalized before certification
+        totals = agent_cdf[:, -1]
+        bad = np.abs(totals - 1.0) > DRIFT_TOL
+        if bad.any():
+            agent_cdf[bad] /= totals[bad, None]
+            renormalizations += int(bad.sum())
+        profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
+        certificate = certify(profile, instance)
+        trajectory.append((k, certificate.epsilon))
+        if config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
+            break
 
-    if checked_at != iterations:
-        profile, certificate = check(iterations)
+    if not trajectory:
+        # no iteration ran: certify the initialization itself, which the
+        # table's row differences would match only up to rounding
+        certificate = certify(init, instance)
+        trajectory.append((0, certificate.epsilon))
 
     return SolverResult(
         profile=profile,
-        iterations_run=iterations,
+        iterations_run=trajectory[-1][0],
         certificate=certificate,
         trajectory=tuple(trajectory),
         renormalizations=renormalizations,

@@ -16,7 +16,6 @@ import pytest
 
 from conftest import exhaustive_player_payoffs, random_player_auction, random_profile, random_small_instance
 from fbauction import (
-    INIT_ZERO_BID,
     AuctionInstance,
     BidGrid,
     LearningSchedule,
@@ -194,7 +193,8 @@ def test_criterion_8_invariant_suite(example2_run):
     shared_groups = PayoffEngine(example_4().instance).n_groups
 
     # classical fictitious play: equal-weight averaging from a point-mass start
-    fp_config = dataclasses.replace(named1.config, schedule=LearningSchedule.harmonic(1.0), init=INIT_ZERO_BID)
+    fp_config = dataclasses.replace(named1.config, schedule=LearningSchedule.harmonic(1.0),
+                                    init=StrategyProfile.point_mass(4, named1.instance.n_bids))
     steps = 500
     agents = np.arange(4)
     counts = np.zeros((4, named1.instance.n_bids))

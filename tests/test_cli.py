@@ -187,6 +187,22 @@ def test_solve_oversized_grid_exits_2_before_allocating(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_oversized_aggregation_matrix_exits_2(tmp_path, capsys, monkeypatch):
+    # example 1 on a 2-level grid: 4 agents x 2 levels fit the limit, the
+    # engine's 4 agents x 5 rival sets do not (a file, because the bundled
+    # builder's 401-level grid would not fit)
+    named = example_1().instance
+    path = tmp_path / "ex1.json"
+    grid = fbauction.BidGrid.uniform(1.0, 1)
+    save_instance(fbauction.AuctionInstance(named.values, named.scenarios, grid, named.rule), path)
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 10)
+    out = tmp_path / "out"
+    assert main(["solve", "--file", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid instance: 4 agents x 5 rival sets exceed the 10-cell table limit"]
+    assert not out.exists()
+
+
 def test_solve_oversized_random_instance_exits_2(tmp_path, capsys, monkeypatch):
     # one pair of 10 agents keeps 2 agents, well inside the limit; the generator
     # must refuse the 10 agents it draws values for, before drawing them

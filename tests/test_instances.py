@@ -195,7 +195,8 @@ def test_random_instance_needs_two_agents():
 
 def test_fixture_files_match_builders():
     for name, builder in [("example1", example_1), ("example2", example_2), ("example3", example_3),
-                          ("example4", example_4), ("example5", example_5)]:
+                          ("example4", example_4), ("example5", example_5),
+                          ("random-seed0", lambda: random_instance(0))]:
         loaded = load_instance(fixture_path(name))
         assert instances_match(loaded, builder().instance), name
 

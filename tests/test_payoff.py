@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbauction.model
 import fbauction.payoff as fb_payoff
 
 from conftest import random_profile, random_small_instance, symmetric_binary_analytic_profile
 from fbauction import (
     AuctionInstance,
     BidGrid,
+    InvalidInstanceError,
     PayoffEngine,
     PaymentRule,
     PlayerAuction,
@@ -26,6 +28,9 @@ from fbauction import (
     conditional_scenarios,
     convert_player_to_agent,
     example_1,
+    example_4,
+    participation_probabilities,
+    run,
 )
 
 
@@ -65,6 +70,26 @@ def test_conditional_scenarios_four_scenario_mix():
     table = conditional_scenarios(inst)
     assert [q for _, q in table.for_agent(3)] == [1.0]
     assert [q for _, q in table.for_agent(0)] == pytest.approx([1 / 3] * 3)
+
+
+def test_conditional_scenarios_match_the_per_agent_filter():
+    inst = example_4().instance
+    mass = participation_probabilities(inst)
+    table = conditional_scenarios(inst)
+    for a in range(inst.n_agents):
+        assert table.for_agent(a) == tuple((s, s.prob / mass[a]) for s in inst.scenarios if a in s.members)
+
+
+def test_engine_rejects_an_aggregation_matrix_above_the_table_limit(monkeypatch):
+    # 4 agents x 2 grid levels pass validation; qmat is 4 agents x 5 rival sets
+    named = example_1()
+    inst = AuctionInstance(named.instance.values, named.instance.scenarios, BidGrid.uniform(1.0, 1), named.instance.rule)
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 10)
+    with pytest.raises(InvalidInstanceError) as raised:
+        PayoffEngine(inst)
+    assert raised.value.problems == ["4 agents x 5 rival sets exceed the 10-cell table limit"]
+    with pytest.raises(InvalidInstanceError):
+        run(inst, named.config)
 
 
 # --- expected payoff ---------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import random_profile, symmetric_binary_analytic_profile
 from fbauction import (
-    INIT_ZERO_BID,
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
@@ -37,9 +36,10 @@ def _step(profile, config, inst):
     return run(inst, dataclasses.replace(config, init=profile, max_iterations=1)).profile
 
 
-def _classical_fp(config):
+def _classical_fp(named):
     """Equal-weight averaging of all past best replies from a point-mass start."""
-    return dataclasses.replace(config, schedule=LearningSchedule.harmonic(1.0), init=INIT_ZERO_BID)
+    init = StrategyProfile.point_mass(named.instance.n_agents, named.instance.n_bids)
+    return dataclasses.replace(named.config, schedule=LearningSchedule.harmonic(1.0), init=init)
 
 
 def test_schedule_rates():
@@ -61,8 +61,9 @@ def test_config_validation():
         SolverConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         SolverConfig(check_interval=0)
-    with pytest.raises(ValueError):
-        SolverConfig(init="gaussian")
+    for init in ("gaussian", "uniform", "point-mass-at-zero"):  # a start is a profile or None
+        with pytest.raises(ValueError):
+            SolverConfig(init=init)
     with pytest.raises(ValueError):
         SolverConfig(epsilon_target=-0.1)
     with pytest.raises(ValueError):
@@ -251,7 +252,7 @@ def test_classical_fp_mode_counts_best_responses():
     frequencies of the run so far, replayed here step by step."""
     named = example_1()
     inst = named.instance
-    config = _classical_fp(named.config)
+    config = _classical_fp(named)
 
     steps = 400
     counts = np.zeros((4, inst.n_bids))
@@ -266,7 +267,7 @@ def test_classical_fp_mode_counts_best_responses():
 def test_classical_fp_first_step_is_pure_best_response():
     named = example_1()
     inst = named.instance
-    config = dataclasses.replace(_classical_fp(named.config), max_iterations=1)
+    config = dataclasses.replace(_classical_fp(named), max_iterations=1)
     init = StrategyProfile.point_mass(4, inst.n_bids)
     stepped = run(inst, config).profile
     best = certify(init, inst).best_response_bids
