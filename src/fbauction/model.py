@@ -28,11 +28,11 @@ import numpy as np
 PROB_TOL = 1e-9
 
 # Largest table an instance may need, in float64 cells (8 bytes each, so
-# 80 MB a table at the limit). The solver and the payoff engine hold a few
-# agents x grid-levels tables: BidGrid.uniform checks the levels before it
-# allocates, and validate_instance reports instances above the limit. The
-# engine's aggregation matrix is agents x distinct rival sets: PayoffEngine
-# raises InvalidInstanceError before it allocates one above the limit.
+# 80 MB at the limit). BidGrid.uniform checks the grid levels before it
+# allocates, validate_instance the agents x levels tables the solver holds,
+# and PayoffEngine raises InvalidInstanceError before it allocates an
+# aggregation matrix (agents x rival sets) or gathered rival rows (rival
+# sets x most rivals x levels) above the limit.
 MAX_TABLE_CELLS = 10_000_000
 
 

@@ -73,8 +73,8 @@ class PayoffEngine:
     rival-free scenario), and nothing is gathered or multiplied.
     ``n_groups`` counts the distinct conditional structures (rival sets and
     their probabilities) among the agents; ``dedup`` is accepted for
-    compatibility and ignored. An instance whose ``qmat`` would exceed
-    ``model.MAX_TABLE_CELLS`` raises :class:`InvalidInstanceError`.
+    compatibility and ignored. An instance whose ``qmat`` or gathered rival
+    rows would exceed ``model.MAX_TABLE_CELLS`` raises :class:`InvalidInstanceError`.
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
@@ -110,6 +110,9 @@ class PayoffEngine:
         limit = model.MAX_TABLE_CELLS  # read at call time
         if n * n_columns > limit:
             raise InvalidInstanceError([f"{n} agents x {n_columns} rival sets exceed the {limit}-cell table limit"])
+        if set_members is not None and set_members.size * (bids.size + 1) > limit:
+            gather = f"{len(column)} rival sets x {max_rivals} rivals x {bids.size + 1} levels"
+            raise InvalidInstanceError([f"{gather} exceed the {limit}-cell table limit"])
         qmat = np.zeros((n, n_columns))
         for a, items in enumerate(rows):
             for rivals, q in items:

@@ -14,12 +14,8 @@ both operations are monotone in floating point, so they are never negative.
 With ``eta_k = 1/(k+1)`` the profile is the running empirical frequency of
 past best replies (classical fictitious play); with constant ``eta`` it is an
 exponential moving average that progressively forgets the initialization.
-Each best reply is the lowest grid index among the largest *computed*
-payoffs (``argmax``), so a run is deterministic for one build. Bids whose
-payoffs tie in exact arithmetic can differ in the last bit, and then the
-rounding picks the reply: on example 1 at step 134, levels 133 and 134 pay
-the same. Another summation order can break such a tie the other way (see
-ROADMAP.md item 1, best replies that do not depend on summation order).
+Replies are picked by :func:`~fbauction.verify.best_replies`, the rule the
+certificate uses, so a run is deterministic for one build.
 """
 from __future__ import annotations
 
@@ -27,11 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AuctionInstance, InvalidInstanceError, StrategyProfile, validate_instance
+from .model import PROB_TOL, AuctionInstance, InvalidInstanceError, StrategyProfile, validate_instance
 from .payoff import engine_for
-from .verify import EquilibriumCertificate, certify
-
-DRIFT_TOL = 1e-9
+from .verify import EquilibriumCertificate, best_replies, certify
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,7 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     trajectory: list[tuple[int, float]] = []
     last = config.max_iterations
     for k in range(1, last + 1):
-        best = np.argmax(engine.curves(cdf), axis=1)
+        best = best_replies(engine.curves(cdf))
         eta = config.schedule.rate(k - 1)
         agent_cdf *= 1.0 - eta
         np.add(agent_cdf, eta, out=agent_cdf, where=levels > best[:, None])
@@ -149,9 +143,9 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
             continue
 
         # the update is an exact convex mix, so rounding drift is ~1e-16 per
-        # step; rows that drift further are renormalized before certification
+        # step; rows that from_matrix would reject are renormalized first
         totals = agent_cdf[:, -1]
-        bad = np.abs(totals - 1.0) > DRIFT_TOL
+        bad = np.abs(totals - 1.0) > PROB_TOL
         if bad.any():
             agent_cdf[bad] /= totals[bad, None]
             renormalizations += int(bad.sum())

@@ -20,16 +20,24 @@ from .payoff import all_payoff_curves
 logger = logging.getLogger(__name__)
 
 
+def best_replies(curves: np.ndarray) -> np.ndarray:
+    """Each agent's best pure reply: the lowest index among a row's largest computed payoffs.
+
+    Payoffs tied in exact arithmetic can differ in the last bit, and then the
+    rounding picks the reply: on example 1 at step 134, levels 133 and 134
+    pay the same, and another summation order can break that tie the other
+    way (ROADMAP.md item 1, best replies that do not depend on summation order).
+    """
+    return np.argmax(curves, axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class EquilibriumCertificate:
     """Exact deviation gaps for one strategy profile.
 
     ``gaps[a]`` is how much agent ``a`` could gain by deviating to its best
-    pure bid, ``payoffs[a]`` its achieved expected payoff, and
-    ``best_response_bids[a]`` the lowest grid index attaining the largest
-    computed payoff; payoffs equal in exact arithmetic can differ in the last
-    bit, so that is not always the lowest of the exactly tied bids (ROADMAP.md
-    item 1). ``epsilon`` is the maximum gap.
+    pure bid, ``payoffs[a]`` its achieved expected payoff, ``epsilon`` the
+    maximum gap, and ``best_response_bids[a]`` its reply by :func:`best_replies`.
     """
 
     epsilon: float
@@ -47,9 +55,7 @@ def certify(profile: StrategyProfile, instance: AuctionInstance) -> EquilibriumC
     weights = profile.weights
     curves = all_payoff_curves(profile, instance)
     achieved = np.einsum("aj,aj->a", weights, curves)
-    best_bids = np.argmax(curves, axis=1)
-    best_values = curves[np.arange(curves.shape[0]), best_bids]
-    gaps = best_values - achieved
+    gaps = curves.max(axis=1) + 0.0 - achieved  # + 0.0 turns the -0.0 of losing bids above value into 0.0
     broken = np.flatnonzero(~np.isfinite(gaps))
     if broken.size:
         raise ValueError(f"non-finite best-reply gap for agents {broken.tolist()}")
@@ -64,7 +70,7 @@ def certify(profile: StrategyProfile, instance: AuctionInstance) -> EquilibriumC
         epsilon=float(gaps.max()),
         gaps=gaps,
         payoffs=achieved,
-        best_response_bids=best_bids,
+        best_response_bids=best_replies(curves),
     )
 
 

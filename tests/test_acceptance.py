@@ -4,7 +4,8 @@ Each numbered criterion prints one PASS/FAIL line; run with
 
     pytest tests/test_acceptance.py -v -s
 
-The whole module takes on the order of ten minutes: criteria 2 and 5 run a
+The whole module takes about 72 s with BLAS at 1 thread on a 2-core host:
+criterion 5 takes 57 s and criterion 2's setup 6.6 s, because both run a
 million solver iterations per instance at their reference settings.
 """
 from __future__ import annotations

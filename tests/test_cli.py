@@ -203,6 +203,16 @@ def test_solve_oversized_aggregation_matrix_exits_2(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_solve_oversized_rival_gather_exits_2(tmp_path, capsys, monkeypatch):
+    # example 4's engine gathers 27 rival sets x 2 rivals x 402 levels
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 20_000)
+    out = tmp_path / "out"
+    assert main(["solve", "--example", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid instance: 27 rival sets x 2 rivals x 402 levels exceed the 20000-cell table limit"]
+    assert not out.exists()
+
+
 def test_solve_oversized_random_instance_exits_2(tmp_path, capsys, monkeypatch):
     # one pair of 10 agents keeps 2 agents, well inside the limit; the generator
     # must refuse the 10 agents it draws values for, before drawing them

@@ -72,6 +72,14 @@ def test_conditional_scenarios_four_scenario_mix():
     assert [q for _, q in table.for_agent(0)] == pytest.approx([1 / 3] * 3)
 
 
+def test_agent_outside_every_scenario_is_rejected():
+    inst = _instance([0.5, 0.5, 0.5], [(0, 1)], [1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"^agents \[2\] have zero participation probability$"):
+        conditional_scenarios(inst)
+    with pytest.raises(ValueError, match=r"^agents \[2\] have zero participation probability$"):
+        PayoffEngine(inst)
+
+
 def test_conditional_scenarios_match_the_per_agent_filter():
     inst = example_4().instance
     mass = participation_probabilities(inst)
@@ -90,6 +98,23 @@ def test_engine_rejects_an_aggregation_matrix_above_the_table_limit(monkeypatch)
     assert raised.value.problems == ["4 agents x 5 rival sets exceed the 10-cell table limit"]
     with pytest.raises(InvalidInstanceError):
         run(inst, named.config)
+
+
+def test_engine_rejects_a_rival_gather_above_the_table_limit(monkeypatch):
+    # example 4 gathers 27 rival sets x 2 rivals x 402 levels = 21708 cells;
+    # its qmat (243 cells) and agents x levels table (3609) fit the limit
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 20_000)
+    with pytest.raises(InvalidInstanceError) as raised:
+        PayoffEngine(example_4().instance)
+    assert raised.value.problems == ["27 rival sets x 2 rivals x 402 levels exceed the 20000-cell table limit"]
+
+
+def test_curves_rejects_a_weight_matrix():
+    # curves reads the strict-CDF table, one row and one column wider
+    inst = example_1().instance
+    weights = StrategyProfile.uniform(inst.n_agents, inst.n_bids).weights
+    with pytest.raises(ValueError, match=r"^expected a \(5, 402\) CDF table, got \(4, 401\)$"):
+        PayoffEngine(inst).curves(weights)
 
 
 # --- expected payoff ---------------------------------------------------------

@@ -110,3 +110,9 @@ def test_cdf_distance_rejects_bad_references():
         cdf_distance(strategy, lambda b: 1.0 - b, grid)  # decreasing
     with pytest.raises(ValueError):
         cdf_distance(strategy, lambda b: 0.5 * b, grid)  # ends at 0.5
+
+
+def test_cdf_distance_rejects_a_strategy_of_another_grid():
+    strategy = MixedStrategy(np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(ValueError, match="^strategy and grid sizes differ$"):
+        cdf_distance(strategy, lambda b: b, BidGrid.uniform(1.0, 4))
