@@ -29,10 +29,10 @@ PROB_TOL = 1e-9
 
 # Largest table an instance may need, in float64 cells (8 bytes each, so
 # 80 MB at the limit). BidGrid.uniform checks the grid levels before it
-# allocates, validate_instance the agents x levels tables the solver holds,
-# and PayoffEngine raises InvalidInstanceError before it allocates an
-# aggregation matrix (agents x rival sets) or gathered rival rows (rival
-# sets x most rivals x levels) above the limit.
+# allocates, validate_instance (on every AuctionInstance) the agents x levels
+# tables the solver holds, and PayoffEngine raises InvalidInstanceError
+# before it allocates an aggregation matrix (agents x rival sets) or gathered
+# rival rows (rival sets x most rivals x levels) above the limit.
 MAX_TABLE_CELLS = 10_000_000
 
 
@@ -62,6 +62,8 @@ class BidGrid:
             raise ValueError("bid grid needs at least two levels")
         if bids[0] != 0.0:
             raise ValueError("bid grid must start at 0")
+        if not np.all(np.isfinite(bids)):
+            raise ValueError("bid levels must be finite")
         if np.any(np.diff(bids) <= 0.0):
             raise ValueError("bid levels must be strictly increasing")
         object.__setattr__(self, "bids", _readonly(bids))
@@ -124,9 +126,9 @@ class AuctionInstance:
 
     Scenarios are canonicalized on construction: entries with identical member
     sets are merged by summing probability, zero-probability entries are
-    dropped, and the remainder is sorted by member tuple. Deeper consistency
-    checks (probabilities summing to one, every agent participating somewhere)
-    are reported by :func:`validate_instance` rather than raised here.
+    dropped, and the remainder is sorted by member tuple. The canonical
+    instance is then checked by :func:`validate_instance`, and any problem
+    raises :class:`InvalidInstanceError`, so every instance is usable.
     """
 
     values: np.ndarray
@@ -148,6 +150,9 @@ class AuctionInstance:
             if prob != 0.0
         )
         object.__setattr__(self, "scenarios", canon)
+        problems = validate_instance(self)
+        if problems:
+            raise InvalidInstanceError(problems)
 
     @property
     def n_agents(self) -> int:
@@ -159,7 +164,10 @@ class AuctionInstance:
 
 
 def validate_instance(instance: AuctionInstance) -> list[str]:
-    """Collect invariant violations; an empty list means the instance is usable."""
+    """Collect invariant violations; an empty list means the instance is usable.
+
+    Every :class:`AuctionInstance` runs this on construction.
+    """
     problems: list[str] = []
     for kind, bad in (("negative", instance.values < 0.0), ("non-finite", ~np.isfinite(instance.values))):
         if bad.any():
@@ -167,9 +175,10 @@ def validate_instance(instance: AuctionInstance) -> list[str]:
     n = instance.n_agents
     if n * instance.n_bids > MAX_TABLE_CELLS:
         problems.append(f"{n} agents x {instance.n_bids} grid levels exceed the {MAX_TABLE_CELLS}-cell table limit")
-    members, unknown = _scenario_members(instance)
+    members = set().union(*(s.members for s in instance.scenarios))
+    unknown = sorted(m for m in members if not 0 <= m < n)
     if unknown:
-        problems.append(unknown)
+        problems.append(f"scenarios reference unknown agents {unknown}")
     total = float(sum(s.prob for s in instance.scenarios))
     if abs(total - 1.0) > PROB_TOL:
         problems.append(f"scenario probabilities sum to {total:.6g}")
@@ -177,21 +186,8 @@ def validate_instance(instance: AuctionInstance) -> list[str]:
     return problems
 
 
-def _scenario_members(instance: AuctionInstance) -> tuple[set[int], str | None]:
-    """The union of scenario members, and the problem naming those outside ``0..n_agents-1`` (None if none is)."""
-    members = set().union(*(s.members for s in instance.scenarios))
-    unknown = sorted(m for m in members if not 0 <= m < instance.n_agents)
-    return members, f"scenarios reference unknown agents {unknown}" if unknown else None
-
-
 def participation_probabilities(instance: AuctionInstance) -> np.ndarray:
-    """Per-agent probability of being selected into the realized scenario.
-
-    Raises ``ValueError`` naming any scenario member outside ``0..n_agents-1``.
-    """
-    unknown = _scenario_members(instance)[1]
-    if unknown:
-        raise ValueError(unknown)
+    """Per-agent probability of being selected into the realized scenario."""
     out = np.zeros(instance.n_agents)
     for s in instance.scenarios:
         for m in s.members:
@@ -281,6 +277,8 @@ class PlayerAuction:
         for i, vs in enumerate(sets):
             if vs.size == 0:
                 raise ValueError(f"player {i} has an empty value set")
+            if not np.all(np.isfinite(vs)):
+                raise ValueError(f"player {i} has non-finite values")
             if np.any(vs < 0.0):
                 raise ValueError(f"player {i} has negative values")
             if np.any(np.diff(vs) <= 0.0):
@@ -288,6 +286,8 @@ class PlayerAuction:
         joint = np.asarray(self.joint, dtype=np.float64)
         if joint.shape != tuple(vs.size for vs in sets):
             raise ValueError(f"joint table shape {joint.shape} does not match value sets")
+        if not np.all(np.isfinite(joint)):
+            raise ValueError("joint probabilities must be finite")
         if np.any(joint < 0.0):
             raise ValueError("joint probabilities must be non-negative")
         total = float(joint.sum())

@@ -51,9 +51,6 @@ class ConditionalScenarioTable:
 def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable:
     """Condition the scenario distribution on each agent's own participation."""
     mass = participation_probabilities(instance)
-    dead = np.flatnonzero(mass == 0.0)
-    if dead.size:
-        raise ValueError(f"agents {dead.tolist()} have zero participation probability")
     rows: list[list[tuple[Scenario, float]]] = [[] for _ in range(instance.n_agents)]
     for s in instance.scenarios:  # one pass, so each row keeps the scenario order
         for a in s.members:

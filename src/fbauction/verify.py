@@ -93,10 +93,12 @@ def certificate_to_json(
 def cdf_distance(strategy: MixedStrategy, reference_cdf: Callable[[float], float], grid: BidGrid) -> float:
     """Sup distance between a strategy's CDF and a reference CDF on the grid.
 
-    The reference is evaluated at every grid level and must be non-decreasing
-    there and reach 1 at the top of the grid.
+    The reference is evaluated at every grid level and must be finite and
+    non-decreasing there and reach 1 at the top of the grid.
     """
     ref = np.array([float(reference_cdf(b)) for b in grid.bids])
+    if not np.all(np.isfinite(ref)):
+        raise ValueError("reference CDF must be finite on the grid")
     if np.any(np.diff(ref) < 0.0):
         raise ValueError("reference CDF must be non-decreasing on the grid")
     if abs(ref[-1] - 1.0) > 1e-9:

@@ -187,6 +187,17 @@ def test_solve_oversized_grid_exits_2_before_allocating(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_grid_steps_above_the_table_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # 1001 levels fit the limit alone; 4 agents x 1001 levels do not, which
+    # only the instance built with the new grid can see
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 3000)
+    out = tmp_path / "out"
+    assert main(["solve", "--example", "1", "--grid-steps", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid instance: 4 agents x 1001 grid levels exceed the 3000-cell table limit"]
+    assert not out.exists()
+
+
 def test_solve_oversized_aggregation_matrix_exits_2(tmp_path, capsys, monkeypatch):
     # example 1 on a 2-level grid: 4 agents x 2 levels fit the limit, the
     # engine's 4 agents x 5 rival sets do not (a file, because the bundled

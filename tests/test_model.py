@@ -9,12 +9,12 @@ from conftest import exhaustive_player_payoffs, random_player_auction, random_pr
 from fbauction import (
     AuctionInstance,
     BidGrid,
+    InvalidInstanceError,
     MixedStrategy,
     PaymentRule,
     PlayerAuction,
     Scenario,
     StrategyProfile,
-    all_payoff_curves,
     certify,
     convert_player_to_agent,
     participation_probabilities,
@@ -53,7 +53,7 @@ def test_validate_reports_oversized_table(monkeypatch):
 
 @pytest.mark.parametrize(
     "bids",
-    [[0.0], [0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2]],
+    [[0.0], [0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]],
 )
 def test_bid_grid_rejects_bad_levels(bids):
     with pytest.raises(ValueError):
@@ -99,23 +99,24 @@ def test_scenarios_canonicalized():
 
 
 def test_validate_reports_probability_sum():
-    inst = _pair_instance([0.5])
-    inst2 = AuctionInstance(inst.values, inst.scenarios + (Scenario(frozenset({0}), 0.6),), inst.grid)
-    report = validate_instance(inst2)
-    assert any("sum to 1.1" in msg for msg in report)
+    scenarios = (Scenario(frozenset({0, 1}), 0.5), Scenario(frozenset({0}), 0.6))
+    with pytest.raises(InvalidInstanceError) as raised:
+        AuctionInstance(np.array([0.3, 0.7]), scenarios, BidGrid.uniform(1.0, 4))
+    assert any("sum to 1.1" in msg for msg in raised.value.problems)
 
 
 def test_validate_reports_missing_agent():
     scenarios = (Scenario(frozenset({0, 1}), 1.0),)
-    inst = AuctionInstance(np.array([0.1, 0.2, 0.3]), scenarios, BidGrid.uniform(1.0, 4))
-    report = validate_instance(inst)
-    assert any("agent 2 never participates" in msg for msg in report)
+    with pytest.raises(InvalidInstanceError) as raised:
+        AuctionInstance(np.array([0.1, 0.2, 0.3]), scenarios, BidGrid.uniform(1.0, 4))
+    assert any("agent 2 never participates" in msg for msg in raised.value.problems)
 
 
 def test_validate_reports_unknown_member_and_negative_value():
     scenarios = (Scenario(frozenset({0, 5}), 1.0),)
-    inst = AuctionInstance(np.array([-0.1, 0.2, np.nan, np.inf]), scenarios, BidGrid.uniform(1.0, 4))
-    report = validate_instance(inst)
+    with pytest.raises(InvalidInstanceError) as raised:
+        AuctionInstance(np.array([-0.1, 0.2, np.nan, np.inf]), scenarios, BidGrid.uniform(1.0, 4))
+    report = raised.value.problems
     assert any("unknown agents [5]" in msg for msg in report)
     assert any("negative values" in msg for msg in report)
     assert "agents [2, 3] have non-finite values" in report
@@ -124,8 +125,9 @@ def test_validate_reports_unknown_member_and_negative_value():
 
 def test_validate_reports_an_unknown_member_once():
     scenarios = (Scenario(frozenset({0, 2}), 0.5), Scenario(frozenset({1, 2}), 0.5))
-    inst = AuctionInstance(np.array([0.1, 0.2]), scenarios, BidGrid.uniform(1.0, 4))
-    assert validate_instance(inst) == ["scenarios reference unknown agents [2]"]
+    with pytest.raises(InvalidInstanceError) as raised:
+        AuctionInstance(np.array([0.1, 0.2]), scenarios, BidGrid.uniform(1.0, 4))
+    assert raised.value.problems == ["scenarios reference unknown agents [2]"]
 
 
 def test_mixed_strategy_invariants():
@@ -173,12 +175,9 @@ def test_unknown_scenario_members_are_rejected(stray):
     # member 2 would read the absent-rival row of the CDF table, and -1 would
     # credit agent 1 with participation it never has
     scenarios = (Scenario(frozenset({0, 1}), 0.5), Scenario(frozenset({0, stray}), 0.5))
-    inst = AuctionInstance(np.array([1.0, 1.0]), scenarios, BidGrid.uniform(1.0, 4))
-    profile = StrategyProfile.point_mass(2, 5, 4)
-    for call in (lambda: participation_probabilities(inst), lambda: all_payoff_curves(profile, inst),
-                 lambda: certify(profile, inst)):
-        with pytest.raises(ValueError, match=rf"unknown agents \[{stray}\]"):
-            call()
+    with pytest.raises(InvalidInstanceError) as raised:
+        AuctionInstance(np.array([1.0, 1.0]), scenarios, BidGrid.uniform(1.0, 4))
+    assert raised.value.problems == [f"scenarios reference unknown agents [{stray}]"]
 
 
 # --- player-based view and conversion -------------------------------------
@@ -249,6 +248,21 @@ def test_convert_uniform_binary_matches_symmetric_pair():
 def test_player_auction_rejects_empty_value_set():
     with pytest.raises(ValueError):
         PlayerAuction((np.array([]),), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "value_sets, joint, message",
+    [
+        ([[0.1], [0.2]], [[np.nan]], "joint probabilities must be finite"),
+        ([[0.1, 0.2], [0.3]], [[np.nan], [0.5]], "joint probabilities must be finite"),
+        ([[0.1, 0.2], [0.3]], [[np.inf], [0.5]], "joint probabilities must be finite"),
+        ([[0.1, np.inf]], [0.5, 0.5], "player 0 has non-finite values"),
+        ([[0.2], [np.nan, 0.1]], [[0.5, 0.5]], "player 1 has non-finite values"),
+    ],
+)
+def test_player_auction_rejects_non_finite_input(value_sets, joint, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PlayerAuction(tuple(np.array(vs) for vs in value_sets), np.array(joint))
 
 
 def test_player_payoff_linearity_and_identity():

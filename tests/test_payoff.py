@@ -73,11 +73,10 @@ def test_conditional_scenarios_four_scenario_mix():
 
 
 def test_agent_outside_every_scenario_is_rejected():
-    inst = _instance([0.5, 0.5, 0.5], [(0, 1)], [1.0], [0.0, 1.0])
-    with pytest.raises(ValueError, match=r"^agents \[2\] have zero participation probability$"):
-        conditional_scenarios(inst)
-    with pytest.raises(ValueError, match=r"^agents \[2\] have zero participation probability$"):
-        PayoffEngine(inst)
+    # such an instance cannot be built, so no conditional row divides by zero
+    with pytest.raises(InvalidInstanceError) as raised:
+        _instance([0.5, 0.5, 0.5], [(0, 1)], [1.0], [0.0, 1.0])
+    assert raised.value.problems == ["agent 2 never participates in any scenario"]
 
 
 def test_conditional_scenarios_match_the_per_agent_filter():

@@ -184,10 +184,11 @@ def test_run_stops_at_epsilon_target():
 
 
 def test_run_rejects_invalid_instance():
+    # the instance rejects itself on construction, so run never receives it
     scenarios = (Scenario(frozenset({0}), 1.0),)
-    inst = AuctionInstance(np.array([0.5, 0.5]), scenarios, BidGrid.uniform(1.0, 4))
-    with pytest.raises(InvalidInstanceError):
-        run(inst, SolverConfig(max_iterations=10))
+    with pytest.raises(InvalidInstanceError) as raised:
+        AuctionInstance(np.array([0.5, 0.5]), scenarios, BidGrid.uniform(1.0, 4))
+    assert raised.value.problems == ["agent 1 never participates in any scenario"]
 
 
 def test_simplex_preserved_across_many_steps():

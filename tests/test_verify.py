@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fbauction.verify as fb_verify
 from conftest import random_profile, random_small_instance
 from fbauction import (
     AuctionInstance,
@@ -19,10 +20,19 @@ from fbauction import (
 )
 
 
-def test_certify_refuses_non_finite_epsilon():
-    # a NaN value makes agent 1's whole payoff curve NaN; its rivals' stay finite
+def test_certify_refuses_non_finite_epsilon(monkeypatch):
+    # no valid instance yields a NaN payoff, so make agent 1's whole payoff
+    # curve NaN by hand; its rivals' stay finite
     scenarios = (Scenario(frozenset({0, 1}), 0.5), Scenario(frozenset({1, 2}), 0.5))
-    inst = AuctionInstance(np.array([1.0, np.nan, 0.5]), scenarios, BidGrid(np.array([0.0, 0.5, 1.0])))
+    inst = AuctionInstance(np.array([1.0, 0.75, 0.5]), scenarios, BidGrid(np.array([0.0, 0.5, 1.0])))
+    curves = fb_verify.all_payoff_curves
+
+    def nan_for_agent_1(profile, instance):
+        out = curves(profile, instance).copy()
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(fb_verify, "all_payoff_curves", nan_for_agent_1)
     with pytest.raises(ValueError, match=r"non-finite best-reply gap for agents \[1\]$"):
         certify(StrategyProfile.uniform(3, 3), inst)
 
@@ -110,6 +120,8 @@ def test_cdf_distance_rejects_bad_references():
         cdf_distance(strategy, lambda b: 1.0 - b, grid)  # decreasing
     with pytest.raises(ValueError):
         cdf_distance(strategy, lambda b: 0.5 * b, grid)  # ends at 0.5
+    with pytest.raises(ValueError, match="^reference CDF must be finite on the grid$"):
+        cdf_distance(strategy, lambda b: np.nan if b == 0.5 else min(1.0, b), grid)
 
 
 def test_cdf_distance_rejects_a_strategy_of_another_grid():
