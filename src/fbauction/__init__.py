@@ -27,7 +27,6 @@ from .payoff import (
     ConditionalScenarioTable,
     PayoffEngine,
     all_payoff_curves,
-    brute_force_payoff,
     conditional_scenarios,
 )
 from .solver import LearningSchedule, SolverConfig, SolverResult, run
@@ -71,7 +70,6 @@ __all__ = [
     "SolverResult",
     "StrategyProfile",
     "all_payoff_curves",
-    "brute_force_payoff",
     "cdf_distance",
     "certificate_to_json",
     "certify",

@@ -84,11 +84,10 @@ def _read_strategies_csv(path: Path, instance: AuctionInstance) -> StrategyProfi
     if found != list(range(n)):
         raise ValueError(f"expected agents 0..{n - 1}, found {found}")
     per_level = np.bincount(agents * n_bids + j, minlength=n * n_bids).reshape(n, n_bids)
-    uneven = np.flatnonzero((per_level != 1).any(axis=1))
+    uneven = np.argwhere(per_level != 1)
     if uneven.size:
-        agent = uneven[0]
-        raise ValueError(f"agent {agent} has {per_level[agent].sum()} rows, "
-                         f"expected one for each of {n_bids} grid levels")
+        agent, level = uneven[0]
+        raise ValueError(f"agent {agent} has {per_level[agent, level]} rows at bid {grid[level]}, expected 1")
     weights = np.zeros((n, n_bids))
     weights[agents, j] = pdf
     return StrategyProfile.from_matrix(weights)
@@ -252,7 +251,7 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-steps", type=int, help="rebuild the grid with this many steps")
     parser.add_argument("--alpha", type=float, help="payment rule mix (1 = pay-as-bid)")
-    parser.add_argument("--eta-kind", choices=["harmonic", "constant"], help="learning-rate schedule")
+    parser.add_argument("--eta-kind", choices=LearningSchedule.KINDS, help="learning-rate schedule")
     parser.add_argument("--eta-c", type=float, help="schedule coefficient")
     parser.add_argument("--max-iters", type=int, help="iteration budget")
     parser.add_argument("--eps-target", type=float, help="stop once the certificate reaches this epsilon")

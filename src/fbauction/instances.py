@@ -229,7 +229,7 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     ``KeyError``/``ValueError`` for structurally broken documents.
     """
     grid_spec = data["grid"]
-    grid = BidGrid.uniform(float(grid_spec["max"]), int(grid_spec["steps"]))
+    grid = BidGrid.uniform(float(grid_spec["max"]), grid_spec["steps"])
     rule = PaymentRule(float(data.get("rule", {}).get("alpha", 1.0)))
 
     if "players" in data:
@@ -243,10 +243,7 @@ def instance_from_dict(data: dict) -> AuctionInstance:
             players = PlayerAuction.independent(value_sets, [p["probs"] for p in data["players"]])
         values, scenarios, _partition = convert_player_to_agent(players)
         return AuctionInstance(values, scenarios, grid, rule)
-    scenarios = tuple(
-        Scenario(frozenset(int(m) for m in s["members"]), float(s["prob"]))
-        for s in data["scenarios"]
-    )
+    scenarios = tuple(Scenario(frozenset(s["members"]), float(s["prob"])) for s in data["scenarios"])
     return AuctionInstance(np.asarray(data["values"], dtype=np.float64), scenarios, grid, rule)
 
 

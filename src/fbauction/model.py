@@ -36,6 +36,18 @@ PROB_TOL = 1e-9
 MAX_TABLE_CELLS = 10_000_000
 
 
+def _exact_int(x, what: str) -> int:
+    """``int(x)``, or ``ValueError`` when ``x`` is a bool or not a whole number (no silent truncation)."""
+    if type(x) is int:  # the common case; a bool's type is bool
+        return x
+    try:
+        if int(x) == x and not isinstance(x, (bool, np.bool_)):
+            return int(x)
+    except (OverflowError, ValueError):  # infinity, NaN, or a string that is no integer
+        pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
@@ -71,6 +83,7 @@ class BidGrid:
     @classmethod
     def uniform(cls, max_bid: float, steps: int) -> "BidGrid":
         """Evenly spaced grid ``[0, max_bid/steps, ..., max_bid]``."""
+        steps = _exact_int(steps, "steps")
         if steps < 1:
             raise ValueError("steps must be >= 1")
         if steps + 1 > MAX_TABLE_CELLS:
@@ -91,7 +104,7 @@ class Scenario:
     prob: float
 
     def __post_init__(self):
-        members = frozenset(int(m) for m in self.members)
+        members = frozenset(_exact_int(m, "scenario member") for m in self.members)
         if not members:
             raise ValueError("scenario needs at least one member")
         if not 0.0 <= self.prob <= 1.0:
@@ -251,12 +264,6 @@ class StrategyProfile:
     @classmethod
     def uniform(cls, n_agents: int, n_bids: int) -> "StrategyProfile":
         return cls.from_matrix(np.full((n_agents, n_bids), 1.0 / n_bids))
-
-    @classmethod
-    def point_mass(cls, n_agents: int, n_bids: int, bid_index: int = 0) -> "StrategyProfile":
-        w = np.zeros((n_agents, n_bids))
-        w[:, bid_index] = 1.0
-        return cls.from_matrix(w)
 
 
 @dataclass(frozen=True, eq=False)

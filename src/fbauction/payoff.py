@@ -19,12 +19,9 @@ iteration to iteration, other callers build it with ``cdf_table``. The
 matrix product that mixes the rival sets sums in an order the BLAS library
 picks; the tests check the same CSV bytes with 1 and 2 BLAS threads on one
 machine, not across BLAS builds.
-:func:`brute_force_payoff` enumerates joint bid outcomes directly and exists
-to cross-check the vectorized engine.
 """
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -187,51 +184,3 @@ def all_payoff_curves(profile: StrategyProfile, instance: AuctionInstance) -> np
     engine = engine_for(instance)
     return engine.curves(engine.cdf_table(profile.weights))
 
-
-def brute_force_payoff(
-    agent: int,
-    bid_index: int,
-    profile: StrategyProfile,
-    instance: AuctionInstance,
-    max_terms: int = 10_000_000,
-) -> float:
-    """Reference payoff by enumerating every joint rival bid outcome.
-
-    Exponential in the scenario size; guarded at ``max_terms`` enumerated
-    outcomes. Only meant as a test oracle for the closed-form engine.
-    """
-    if not 0 <= bid_index < instance.n_bids:
-        raise IndexError(f"bid index {bid_index} outside grid of {instance.n_bids} levels")
-    bids = instance.grid.bids
-    bid = bids[bid_index]
-    value = instance.values[agent]
-    alpha = instance.rule.alpha
-    table = conditional_scenarios(instance)
-
-    supports = [np.flatnonzero(row) for row in profile.weights]
-
-    total_terms = 0
-    for s, _q in table.for_agent(agent):
-        rivals = sorted(s.members - {agent})
-        count = 1
-        for r in rivals:
-            count *= max(1, supports[r].size)
-        total_terms += count
-    if total_terms > max_terms:
-        raise ValueError(f"enumeration of {total_terms} outcomes exceeds the {max_terms} guard")
-
-    total = 0.0
-    for s, q in table.for_agent(agent):
-        rivals = sorted(s.members - {agent})
-        if not rivals:
-            total += q * (value - alpha * bid)
-            continue
-        for combo in itertools.product(*(supports[r] for r in rivals)):
-            weight = 1.0
-            for r, j in zip(rivals, combo):
-                weight *= profile.weights[r, j]
-            top_rival = max(bids[j] for j in combo)
-            if bid > top_rival:
-                total += q * weight * (value - alpha * bid - (1.0 - alpha) * top_rival)
-            # ties and losses pay and win nothing
-    return total

@@ -39,11 +39,12 @@ class LearningSchedule:
     them deliberately.
     """
 
+    KINDS = ("harmonic", "constant")  # a class constant, not a field
     kind: str = "harmonic"
     coefficient: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("harmonic", "constant"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 < self.coefficient <= 1.0:
             raise ValueError("coefficient must lie in (0, 1] so every step stays a convex mix")

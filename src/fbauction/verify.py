@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import AuctionInstance, BidGrid, MixedStrategy, StrategyProfile
+from .model import PROB_TOL, AuctionInstance, BidGrid, MixedStrategy, StrategyProfile
 from .payoff import all_payoff_curves
 
 logger = logging.getLogger(__name__)
@@ -101,7 +101,7 @@ def cdf_distance(strategy: MixedStrategy, reference_cdf: Callable[[float], float
         raise ValueError("reference CDF must be finite on the grid")
     if np.any(np.diff(ref) < 0.0):
         raise ValueError("reference CDF must be non-decreasing on the grid")
-    if abs(ref[-1] - 1.0) > 1e-9:
+    if abs(ref[-1] - 1.0) > PROB_TOL:
         raise ValueError(f"reference CDF ends at {ref[-1]:.12g}, expected 1")
     if strategy.weights.size != len(grid):
         raise ValueError("strategy and grid sizes differ")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -12,7 +13,49 @@ from fbauction import (
     PlayerAuction,
     Scenario,
     StrategyProfile,
+    participation_probabilities,
 )
+
+
+def point_mass_profile(n_agents: int, n_bids: int, bid_index: int = 0) -> StrategyProfile:
+    """Every agent bids ``grid[bid_index]`` for sure."""
+    w = np.zeros((n_agents, n_bids))
+    w[:, bid_index] = 1.0
+    return StrategyProfile.from_matrix(w)
+
+
+def brute_force_curves(profile: StrategyProfile, instance: AuctionInstance, max_terms: int = 10_000_000) -> np.ndarray:
+    """Reference for ``all_payoff_curves``: every agent's payoff at every grid
+    level, by enumerating each scenario's joint rival bid outcomes.
+
+    Exponential in the scenario size; raises ``ValueError`` before enumerating
+    when any agent's outcomes number more than ``max_terms``.
+    """
+    bids = instance.grid.bids
+    alpha = instance.rule.alpha
+    mass = participation_probabilities(instance)
+    supports = [np.flatnonzero(row) for row in profile.weights]
+    # per agent: (P(scenario | agent participates), its rivals), in scenario order
+    views = [[(s.prob / mass[a], sorted(s.members - {a})) for s in instance.scenarios if a in s.members]
+             for a in range(instance.n_agents)]
+    total_terms = max(sum(math.prod(max(1, supports[r].size) for r in rivals) for _q, rivals in rows)
+                      for rows in views)
+    if total_terms > max_terms:
+        raise ValueError(f"enumeration of {total_terms} outcomes exceeds the {max_terms} guard")
+    curves = np.zeros((instance.n_agents, bids.size))
+    for agent, (value, rows) in enumerate(zip(instance.values, views)):
+        for q, rivals in rows:
+            if not rivals:
+                curves[agent] += q * (value - alpha * bids)
+                continue
+            for combo in itertools.product(*(supports[r] for r in rivals)):
+                weight = 1.0
+                for r, j in zip(rivals, combo):
+                    weight *= profile.weights[r, j]
+                top_rival = max(bids[j] for j in combo)
+                win = bids > top_rival  # ties and losses pay and win nothing
+                curves[agent, win] += q * weight * (value - alpha * bids[win] - (1.0 - alpha) * top_rival)
+    return curves
 
 
 def random_small_instance(rng, max_agents=4, max_scenarios=5, max_grid=20, alpha=1.0) -> AuctionInstance:

@@ -118,12 +118,18 @@ def test_verify_unreadable_strategies_exits_1(solved, capsys):
 @pytest.mark.parametrize("field, value, message", [
     ("pdf", "nan", "weights must be finite"),
     ("bid", "0.0126", "not on the instance grid"),  # grid steps are 0.0025: between 0.0125 and 0.015
+    pytest.param("bid", "0.015", "invalid input: agent 0 has 0 rows at bid 0.0125, expected 1",
+                 id="bid-of-the-next-row"),  # level 0.015 then has two rows
+    pytest.param(None, None, "invalid input: agent 0 has 0 rows at bid 0.0125, expected 1", id="dropped-row"),
 ])
 def test_verify_rejects_bad_row(solved, capsys, field, value, message):
     strategies = solved / "strategies.csv"
     with open(strategies, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    rows[5][field] = value
+    if field is None:
+        del rows[5]
+    else:
+        rows[5][field] = value
     with open(strategies, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -140,6 +146,7 @@ _BAD_PROBABILITIES = {
     "scenarios": [{"members": [0, 1], "prob": 0.5}, {"members": [0], "prob": 0.6}],
     "grid": {"max": 1.0, "steps": 10},
 }
+_PAIR = {"values": [0.5, 0.7], "scenarios": [{"members": [0, 1], "prob": 1.0}], "grid": {"max": 1.0, "steps": 4}}
 _NAN_VALUE = {
     "values": [float("nan"), 1.0],  # written as the JSON extension NaN, which json.load accepts
     "scenarios": [{"members": [0, 1], "prob": 1.0}],
@@ -150,6 +157,12 @@ _NAN_VALUE = {
 @pytest.mark.parametrize("doc, flags, message", [
     pytest.param(_BAD_PROBABILITIES, [], "sum to 1.1", id="probabilities"),
     pytest.param(_NAN_VALUE, ["--eps-target", "1e-3"], "agents [0] have non-finite values", id="nan-value"),
+    pytest.param({**_PAIR, "scenarios": [{"members": [0.9, 1.2], "prob": 1.0}]}, [],
+                 "invalid input: scenario member must be an integer, got 0.9", id="fractional-member"),
+    pytest.param({**_PAIR, "grid": {"max": 1.0, "steps": 4.7}}, [], "invalid input: steps must be an integer, got 4.7",
+                 id="fractional-steps"),
+    pytest.param({**_PAIR, "grid": {"max": 1.0, "steps": True}}, [], "invalid input: steps must be an integer, got True",
+                 id="boolean-steps"),
     pytest.param(None, ["--alpha", "2"], "invalid input: --alpha 2.0: alpha 2.0 outside [0, 1]", id="alpha"),
     pytest.param(None, ["--max-iters", "-1"], "invalid input: --max-iters -1: max_iterations must be >= 0",
                  id="max-iters"),

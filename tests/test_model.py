@@ -1,11 +1,13 @@
 """Model types, validation, and the player-to-agent conversion."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import fbauction.model
-from conftest import exhaustive_player_payoffs, random_player_auction, random_profile
+from conftest import exhaustive_player_payoffs, point_mass_profile, random_player_auction, random_profile
 from fbauction import (
     AuctionInstance,
     BidGrid,
@@ -80,6 +82,12 @@ def _pair_instance(probs, values=(0.3, 0.7), grid_steps=4):
     return AuctionInstance(np.array(values), scenarios, BidGrid.uniform(1.0, grid_steps))
 
 
+@pytest.mark.parametrize("values", [[[0.3, 0.7]], []], ids=["2-d", "empty"])
+def test_instance_values_must_be_a_vector(values):
+    with pytest.raises(ValueError, match="^values must be a non-empty 1-d vector$"):
+        AuctionInstance(np.array(values), (Scenario(frozenset({0, 1}), 1.0),), BidGrid.uniform(1.0, 4))
+
+
 def test_scenarios_canonicalized():
     inst = AuctionInstance(
         values=np.array([0.5, 0.5, 0.5]),
@@ -142,10 +150,12 @@ def test_strategy_profile_shapes():
     profile = StrategyProfile.uniform(3, 5)
     assert profile.n_agents == 3
     assert profile.weights.shape == (3, 5)
-    point = StrategyProfile.point_mass(2, 4, bid_index=1)
+    point = point_mass_profile(2, 4, bid_index=1)
     assert point.strategies[0].weights[1] == 1.0
     with pytest.raises(ValueError):
         StrategyProfile([[1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^weights must be a non-empty 2-d array, got shape \(3,\)$"):
+        StrategyProfile(np.full(3, 1.0 / 3.0))
     with pytest.raises(TypeError):  # a profile is a weight matrix, not a sequence of strategies
         StrategyProfile((MixedStrategy(np.array([1.0, 0.0])), MixedStrategy(np.array([0.5, 0.5]))))
 
@@ -253,16 +263,34 @@ def test_player_auction_rejects_empty_value_set():
 @pytest.mark.parametrize(
     "value_sets, joint, message",
     [
-        ([[0.1], [0.2]], [[np.nan]], "joint probabilities must be finite"),
-        ([[0.1, 0.2], [0.3]], [[np.nan], [0.5]], "joint probabilities must be finite"),
-        ([[0.1, 0.2], [0.3]], [[np.inf], [0.5]], "joint probabilities must be finite"),
-        ([[0.1, np.inf]], [0.5, 0.5], "player 0 has non-finite values"),
-        ([[0.2], [np.nan, 0.1]], [[0.5, 0.5]], "player 1 has non-finite values"),
+        pytest.param([[0.1], [0.2]], [[np.nan]], "joint probabilities must be finite", id="nan-joint"),
+        pytest.param([[0.1, 0.2], [0.3]], [[np.nan], [0.5]], "joint probabilities must be finite", id="nan-joint-cell"),
+        pytest.param([[0.1, 0.2], [0.3]], [[np.inf], [0.5]], "joint probabilities must be finite", id="inf-joint-cell"),
+        pytest.param([[0.1, np.inf]], [0.5, 0.5], "player 0 has non-finite values", id="inf-value"),
+        pytest.param([[0.2], [np.nan, 0.1]], [[0.5, 0.5]], "player 1 has non-finite values", id="nan-value"),
+        pytest.param([], 1.0, "need at least one player", id="no-players"),
+        pytest.param([[-0.1, 0.2]], [0.5, 0.5], "player 0 has negative values", id="negative-value"),
+        pytest.param([[0.2, 0.2]], [0.5, 0.5], "player 0 values must be strictly increasing", id="repeated-value"),
+        pytest.param([[0.1, 0.2], [0.3]], [0.5, 0.5], "joint table shape (2,) does not match value sets",
+                     id="joint-shape"),
+        pytest.param([[0.1, 0.2]], [1.5, -0.5], "joint probabilities must be non-negative", id="negative-joint"),
+        pytest.param([[0.1, 0.2]], [0.5, 0.6], "joint probabilities sum to 1.1, expected 1", id="joint-sum"),
+        pytest.param([[0.1], [0.2, 0.3]], [[1.0, 0.0]], "player 1 values at positions [1] have zero probability mass",
+                     id="zero-mass-value"),
     ],
 )
-def test_player_auction_rejects_non_finite_input(value_sets, joint, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+def test_player_auction_rejects_bad_input(value_sets, joint, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PlayerAuction(tuple(np.array(vs) for vs in value_sets), np.array(joint))
+
+
+@pytest.mark.parametrize("value_sets, marginals, message", [
+    pytest.param([[0.1], [0.2]], [[1.0]], "need one marginal per player", id="missing-marginal"),
+    pytest.param([[0.1, 0.2]], [[1.0]], "player 0: 2 values but 1 probabilities", id="short-marginal"),
+])
+def test_independent_player_auction_rejects_mismatched_marginals(value_sets, marginals, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PlayerAuction.independent(value_sets, marginals)
 
 
 def test_player_payoff_linearity_and_identity():

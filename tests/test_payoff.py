@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fbauction.model
 import fbauction.payoff as fb_payoff
 
-from conftest import random_profile, random_small_instance, symmetric_binary_analytic_profile
+from conftest import brute_force_curves, random_profile, random_small_instance, symmetric_binary_analytic_profile
 from fbauction import (
     AuctionInstance,
     BidGrid,
@@ -24,7 +24,6 @@ from fbauction import (
     Scenario,
     StrategyProfile,
     all_payoff_curves,
-    brute_force_payoff,
     conditional_scenarios,
     convert_player_to_agent,
     example_1,
@@ -140,18 +139,11 @@ def test_certain_win_and_tie_against_point_mass():
     rival_low = StrategyProfile.from_matrix(np.array([[0, 0, 1, 0], [0, 1, 0, 0]], dtype=float))
     # rival point mass strictly below: certain win, pay own bid
     assert all_payoff_curves(rival_low, inst)[0, 2] == pytest.approx(0.5, abs=1e-15)
-    assert brute_force_payoff(0, 2, rival_low, inst) == pytest.approx(0.5, abs=1e-15)
+    assert brute_force_curves(rival_low, inst)[0, 2] == pytest.approx(0.5, abs=1e-15)
     # rival point mass exactly at the bid: ties lose
     rival_tie = StrategyProfile.from_matrix(np.array([[0, 0, 1, 0], [0, 0, 1, 0]], dtype=float))
     assert all_payoff_curves(rival_tie, inst)[0, 2] == 0.0
-    assert brute_force_payoff(0, 2, rival_tie, inst) == 0.0
-
-
-def test_bid_index_out_of_range():
-    inst = _instance([1.0], [(0,)], [1.0], [0.0, 1.0])
-    profile = StrategyProfile.uniform(1, 2)
-    with pytest.raises(IndexError):
-        brute_force_payoff(0, 5, profile, inst)
+    assert brute_force_curves(rival_tie, inst)[0, 2] == 0.0
 
 
 def test_engine_matches_brute_force():
@@ -160,17 +152,12 @@ def test_engine_matches_brute_force():
         for _ in range(12):
             inst = random_small_instance(rng, alpha=alpha)
             profile = random_profile(rng, inst.n_agents, inst.n_bids)
-            agent = int(rng.integers(inst.n_agents))
-            curve = all_payoff_curves(profile, inst)[agent]
-            for j in {0, inst.n_bids - 1, int(rng.integers(inst.n_bids))}:
-                fast = curve[j]
-                slow = brute_force_payoff(agent, j, profile, inst)
-                assert fast == pytest.approx(slow, abs=1e-12)
+            assert all_payoff_curves(profile, inst) == pytest.approx(brute_force_curves(profile, inst), abs=1e-12)
 
 
 @st.composite
 def converted_player_cases(draw):
-    """A converted independent-player auction, a profile and one agent.
+    """A converted independent-player auction and a profile.
 
     3-4 players with 2-3 values each give every agent 2-3 rivals, and the
     agents of one player face the same rival sets. Integer weights and point
@@ -193,17 +180,16 @@ def converted_player_cases(draw):
         else:
             w[a] = draw(st.lists(st.integers(0, 2), min_size=nb, max_size=nb).filter(any))
     w /= w.sum(axis=1, keepdims=True)
-    return inst, StrategyProfile.from_matrix(w), draw(st.integers(0, n - 1))
+    return inst, StrategyProfile.from_matrix(w)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(converted_player_cases())
 def test_engine_matches_brute_force_on_converted_player_auctions(case):
-    inst, profile, agent = case
+    inst, profile = case
     engine = PayoffEngine(inst)
-    curve = engine.curves(engine.cdf_table(profile.weights))[agent]
-    oracle = [brute_force_payoff(agent, j, profile, inst) for j in range(inst.n_bids)]
-    assert curve == pytest.approx(oracle, abs=1e-12)
+    curves = engine.curves(engine.cdf_table(profile.weights))
+    assert curves == pytest.approx(brute_force_curves(profile, inst), abs=1e-12)
 
 
 def test_mixed_payoff_degenerate_and_uniform():
@@ -221,7 +207,7 @@ def test_mixed_payoff_degenerate_and_uniform():
     assert np.dot(profile.weights[0], curve) == curve[j]
     # uniform strategy: mixed payoff is the average of the brute-force curve
     uniform = StrategyProfile.from_matrix(np.full((n, nb), 1.0 / nb))
-    oracle = np.mean([brute_force_payoff(0, k, uniform, inst) for k in range(nb)])
+    oracle = np.mean(brute_force_curves(uniform, inst)[0])
     assert np.dot(uniform.weights[0], all_payoff_curves(uniform, inst)[0]) == pytest.approx(oracle, abs=1e-12)
 
 
@@ -239,8 +225,8 @@ def test_first_price_payoff_bounds():
 def test_brute_force_enumeration_guard():
     inst = _instance([1.0, 1.0, 1.0], [(0, 1, 2)], [1.0], np.linspace(0, 1, 12).tolist())
     profile = StrategyProfile.uniform(3, 12)
-    with pytest.raises(ValueError):
-        brute_force_payoff(0, 1, profile, inst, max_terms=100)
+    with pytest.raises(ValueError, match=r"^enumeration of 144 outcomes exceeds the 100 guard$"):
+        brute_force_curves(profile, inst, max_terms=100)
 
 
 # --- payment-rule mixture -----------------------------------------------------

@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_profile, symmetric_binary_analytic_profile
+import fbauction.solver
+from conftest import point_mass_profile, random_profile, symmetric_binary_analytic_profile
 from fbauction import (
     AuctionInstance,
     BidGrid,
@@ -39,7 +40,7 @@ def _step(profile, config, inst):
 
 def _classical_fp(named):
     """Equal-weight averaging of all past best replies from a point-mass start."""
-    init = StrategyProfile.point_mass(named.instance.n_agents, named.instance.n_bids)
+    init = point_mass_profile(named.instance.n_agents, named.instance.n_bids)
     return dataclasses.replace(named.config, schedule=LearningSchedule.harmonic(1.0), init=init)
 
 
@@ -258,7 +259,7 @@ def test_classical_fp_mode_counts_best_responses():
 
     steps = 400
     counts = np.zeros((4, inst.n_bids))
-    profile = StrategyProfile.point_mass(4, inst.n_bids)
+    profile = point_mass_profile(4, inst.n_bids)
     for k in range(steps):
         counts[np.arange(4), certify(profile, inst).best_response_bids] += 1.0
         profile = run(inst, dataclasses.replace(config, max_iterations=k + 1)).profile
@@ -270,7 +271,7 @@ def test_classical_fp_first_step_is_pure_best_response():
     named = example_1()
     inst = named.instance
     config = dataclasses.replace(_classical_fp(named), max_iterations=1)
-    init = StrategyProfile.point_mass(4, inst.n_bids)
+    init = point_mass_profile(4, inst.n_bids)
     stepped = run(inst, config).profile
     best = certify(init, inst).best_response_bids
     assert np.all(stepped.weights[np.arange(4), best] == 1.0)
@@ -286,3 +287,18 @@ def test_explicit_initialization_is_respected():
     bad = StrategyProfile.uniform(4, 10)
     with pytest.raises(ValueError):
         run(named.instance, dataclasses.replace(named.config, init=bad, max_iterations=1))
+
+
+def test_drift_guard_renormalizes_rows_off_the_simplex(monkeypatch):
+    # rows that sum to 1 + 5e-10 pass PROB_TOL; with the guard's tolerance at
+    # 1e-12 every row is off the simplex at the one check, after 10 steps
+    named = example_1()
+    inst = named.instance
+    start = StrategyProfile.uniform(inst.n_agents, inst.n_bids).weights * (1.0 + 5e-10)
+    config = SolverConfig(schedule=LearningSchedule.constant(0.01), max_iterations=10, check_interval=10,
+                          init=StrategyProfile(start))
+    monkeypatch.setattr(fbauction.solver, "PROB_TOL", 1e-12)
+    result = run(inst, config)
+    assert result.renormalizations == 4
+    assert np.abs(result.profile.weights.sum(axis=1) - 1.0).max() <= 1e-15
+    assert result.certificate.epsilon == certify(result.profile, inst).epsilon

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fbauction.verify as fb_verify
-from conftest import random_profile, random_small_instance
+from conftest import brute_force_curves, random_profile, random_small_instance
 from fbauction import (
     AuctionInstance,
     BidGrid,
@@ -13,7 +13,6 @@ from fbauction import (
     Scenario,
     StrategyProfile,
     all_payoff_curves,
-    brute_force_payoff,
     cdf_distance,
     certificate_to_json,
     certify,
@@ -57,8 +56,7 @@ def test_certificate_and_brute_force_gaps_agree():
         profile = random_profile(rng, inst.n_agents, inst.n_bids)
         cert = certify(profile, inst)
         assert cert.epsilon >= 0.0
-        for a in range(inst.n_agents):
-            curve = np.array([brute_force_payoff(a, j, profile, inst) for j in range(inst.n_bids)])
+        for a, curve in enumerate(brute_force_curves(profile, inst)):
             achieved = float(np.dot(profile.strategies[a].weights, curve))
             gap = max(curve.max() - achieved, 0.0)
             assert cert.gaps[a] == pytest.approx(gap, abs=1e-10)
