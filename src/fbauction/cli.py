@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import get_example, grid_to_spec, instance_to_dict, load_instance
+from .instances import get_example, grid_to_spec, instance_to_dict, load_instance, random_instance
 from .model import (
     AuctionInstance,
     BidGrid,
@@ -104,13 +104,16 @@ def _load(args, seed: int | None = None) -> tuple[str, dict, AuctionInstance, So
     if args.file is not None:
         name, instance, config = Path(args.file).stem, load_instance(args.file), SolverConfig()
         identity = {"file": str(args.file), "sha256": hashlib.sha256(Path(args.file).read_bytes()).hexdigest()}
-    else:
+    elif args.example == "random":
         seed = args.seed if seed is None else seed
-        named = get_example(args.example, seed=seed, n_agents=args.n_agents, n_scenarios=args.n_scenarios)
+        flag, value = ("--n-scenarios", args.n_scenarios) if args.n_scenarios < 1 else ("--n-agents", args.n_agents)
+        named = _flag_value(flag, value, lambda: random_instance(seed, args.n_agents, args.n_scenarios))
+        name, instance, config = named.name, named.instance, named.config
+        identity = {"name": name, "seed": seed, "n_agents": args.n_agents, "n_scenarios": args.n_scenarios}
+    else:
+        named = get_example(args.example)
         name, instance, config = named.name, named.instance, named.config
         identity = {"name": name}
-        if args.example == "random":
-            identity.update({"seed": seed, "n_agents": args.n_agents, "n_scenarios": args.n_scenarios})
     instance, config = _apply_overrides(args, instance, config)
     engine_for(instance)
     return name, identity, instance, config
@@ -179,8 +182,8 @@ def cmd_solve(args, loaded) -> int:
     weights = result.profile.weights
     _write_grid_csv(out / "strategies.csv", instance, pdf=weights, cdf=np.cumsum(weights, axis=1))
     _write_grid_csv(out / "payoffs.csv", instance, expected_payoff=all_payoff_curves(result.profile, instance))
-    cert = certificate_to_json(result.certificate, iterations=result.iterations_run, config_echo=config.echo())
-    (out / "certificate.json").write_text(json.dumps(cert, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    cert = json.dumps(certificate_to_json(result.certificate), indent=2, sort_keys=True)
+    (out / "certificate.json").write_text(cert + "\n", encoding="utf-8")  # what verify prints
     manifest = {
         "instance": {**identity, "n_agents": instance.n_agents, "grid": grid_to_spec(instance.grid),
                      "alpha": instance.rule.alpha},

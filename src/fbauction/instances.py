@@ -161,8 +161,10 @@ def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> Nam
     Agents that land in no pair are dropped, with a warning, since they could
     never bid. The same seed always produces the same instance.
     """
-    if n_agents < 2 or n_scenarios < 1:
-        raise ValueError("need at least two agents and one scenario to form pairs")
+    if n_scenarios < 1:  # first: the CLI blames --n-agents for every later error
+        raise ValueError("need at least one scenario")
+    if n_agents < 2:
+        raise ValueError("need at least two agents to form pairs")
     grid = BidGrid.uniform(1.0, 100)
     limit = model.MAX_TABLE_CELLS  # read at call time
     if n_agents * len(grid) > limit:  # the table the instance needs if every agent draws a pair
@@ -221,6 +223,15 @@ def instance_to_dict(instance: AuctionInstance) -> dict:
     }
 
 
+def _numbers(x, field: str):
+    """``x`` as read, or ``ValueError`` naming ``field`` when it or any entry in it is a bool or a string."""
+    if isinstance(x, (bool, str)):
+        raise ValueError(f"{field} must be a number, got {x!r}")
+    for i, item in enumerate(x if isinstance(x, (list, tuple)) else ()):
+        _numbers(item, f"{field}[{i}]")
+    return x
+
+
 def instance_from_dict(data: dict) -> AuctionInstance:
     """Build an instance from a parsed JSON document.
 
@@ -229,22 +240,22 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     ``KeyError``/``ValueError`` for structurally broken documents.
     """
     grid_spec = data["grid"]
-    grid = BidGrid.uniform(float(grid_spec["max"]), grid_spec["steps"])
-    rule = PaymentRule(float(data.get("rule", {}).get("alpha", 1.0)))
+    grid = BidGrid.uniform(_numbers(grid_spec["max"], "grid.max"), grid_spec["steps"])
+    rule = PaymentRule(_numbers(data.get("rule", {}).get("alpha", 1.0), "rule.alpha"))
 
     if "players" in data:
-        value_sets = [p["values"] for p in data["players"]]
+        entries = list(enumerate(data["players"]))
+        value_sets = tuple(_numbers(p["values"], f"players[{i}].values") for i, p in entries)
         if "joint" in data:
-            players = PlayerAuction(
-                tuple(np.asarray(vs, dtype=np.float64) for vs in value_sets),
-                np.asarray(data["joint"], dtype=np.float64),
-            )
+            players = PlayerAuction(value_sets, _numbers(data["joint"], "joint"))
         else:
-            players = PlayerAuction.independent(value_sets, [p["probs"] for p in data["players"]])
+            marginals = [_numbers(p["probs"], f"players[{i}].probs") for i, p in entries]
+            players = PlayerAuction.independent(value_sets, marginals)
         values, scenarios, _partition = convert_player_to_agent(players)
         return AuctionInstance(values, scenarios, grid, rule)
-    scenarios = tuple(Scenario(frozenset(s["members"]), float(s["prob"])) for s in data["scenarios"])
-    return AuctionInstance(np.asarray(data["values"], dtype=np.float64), scenarios, grid, rule)
+    scenarios = tuple(Scenario(frozenset(s["members"]), _numbers(s["prob"], f"scenarios[{i}].prob"))
+                      for i, s in enumerate(data["scenarios"]))
+    return AuctionInstance(_numbers(data["values"], "values"), scenarios, grid, rule)
 
 
 def load_instance(path: str | Path) -> AuctionInstance:

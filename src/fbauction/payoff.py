@@ -23,7 +23,6 @@ machine, not across BLAS builds.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,15 @@ from . import model
 from .model import AuctionInstance, InvalidInstanceError, Scenario, StrategyProfile, participation_probabilities
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalScenarioTable:
+class ConditionalScenarioTable(tuple):
     """Per agent: the scenarios it joins, reweighted to condition on joining.
 
-    ``entries[a]`` is a tuple of ``(scenario, P(scenario | a participates))``
-    pairs, sorted by scenario member tuple.
+    ``table[a]`` is a tuple of ``(scenario, P(scenario | a participates))``
+    pairs, sorted by scenario member tuple. ``for_agent`` is an alias of
+    indexing that ``perfbench`` still calls.
     """
 
-    entries: tuple[tuple[tuple[Scenario, float], ...], ...]
-
-    def for_agent(self, agent: int) -> tuple[tuple[Scenario, float], ...]:
-        return self.entries[agent]
+    for_agent = tuple.__getitem__
 
 
 def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable:
@@ -52,7 +48,7 @@ def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable
     for s in instance.scenarios:  # one pass, so each row keeps the scenario order
         for a in s.members:
             rows[a].append((s, s.prob / mass[a]))
-    return ConditionalScenarioTable(tuple(map(tuple, rows)))
+    return ConditionalScenarioTable(map(tuple, rows))
 
 
 class PayoffEngine:
@@ -82,9 +78,8 @@ class PayoffEngine:
         self._instance = weakref.ref(instance)
         n = instance.n_agents
         bids = instance.grid.bids
-        table = conditional_scenarios(instance)
-
-        rows = [tuple((tuple(sorted(s.members - {a})), q) for s, q in table.entries[a]) for a in range(n)]
+        rows = [tuple((tuple(sorted(s.members - {a})), q) for s, q in items)
+                for a, items in enumerate(conditional_scenarios(instance))]
         column: dict[tuple[int, ...], int] = {}  # rival set -> column, by first appearance
         for items in rows:
             for rivals, _q in items:

@@ -8,8 +8,10 @@ bids below level ``j``)), so the mix is a scale and a suffix add:
 
     F_next[a, j] = (1 - eta_k) * F[a, j] + eta_k * [j > best reply of a]
 
-The weights, the row differences of ``F``, are formed only for a certificate;
-both operations are monotone in floating point, so they are never negative.
+after ``k`` steps. The weights, the row differences of ``F``, are formed only
+at the one check site, which certifies every ``check_interval``-th iterate and
+the last (the start itself when no step runs); both operations are monotone in
+floating point, so the weights are never negative.
 
 With ``eta_k = 1/(k+1)`` the profile is the running empirical frequency of
 past best replies (classical fictitious play); with constant ``eta`` it is an
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # validate_instance is unused here; perfbench's tracer patches it here by name
-from .model import PROB_TOL, AuctionInstance, StrategyProfile, validate_instance
+from .model import PROB_TOL, AuctionInstance, StrategyProfile, _exact_int, validate_instance
 from .payoff import engine_for
 from .verify import EquilibriumCertificate, best_replies, certify
 
@@ -58,9 +60,8 @@ class LearningSchedule:
         return cls("constant", coefficient)
 
     def rate(self, k: int) -> float:
-        if self.kind == "harmonic":
-            return self.coefficient / (k + 1)
-        return self.coefficient
+        """The step size after ``k`` steps."""
+        return self.coefficient / (k + 1) if self.kind == "harmonic" else self.coefficient
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +69,12 @@ class SolverConfig:
     """Everything needed to reproduce a solver run.
 
     ``init`` is the starting :class:`StrategyProfile`, or ``None`` for the
-    uniform one. An epsilon certificate is computed every ``check_interval``
-    iterations and after the last one (each check costs about one
-    iteration); when ``epsilon_target`` is set the run stops at the first
-    check that reaches it. ``independent_player_cache`` is accepted for
-    compatibility and ignored: the payoff engine has one aggregation row per
-    agent and builds nothing per player.
+    uniform one. ``max_iterations`` and ``check_interval`` are whole numbers.
+    An epsilon certificate is computed every ``check_interval`` iterations and
+    after the last one (each check costs about one iteration); when
+    ``epsilon_target`` is set the run stops at the first check that reaches
+    it. ``independent_player_cache`` is accepted for compatibility and
+    ignored: the payoff engine has one aggregation row per agent.
     """
 
     schedule: LearningSchedule = field(default_factory=LearningSchedule)
@@ -84,6 +85,8 @@ class SolverConfig:
     independent_player_cache: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations", _exact_int(self.max_iterations, "max_iterations"))
+        object.__setattr__(self, "check_interval", _exact_int(self.check_interval, "check_interval"))
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.check_interval < 1:
@@ -124,41 +127,32 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     """
     engine = engine_for(instance)
     n, n_bids = instance.n_agents, instance.n_bids
-    init = StrategyProfile.uniform(n, n_bids) if config.init is None else config.init
-    cdf = engine.cdf_table(init.weights)  # raises ValueError on a wrongly shaped init
+    profile = StrategyProfile.uniform(n, n_bids) if config.init is None else config.init
+    cdf = engine.cdf_table(profile.weights)  # raises ValueError on a wrongly shaped init
     agent_cdf = cdf[:n]  # a view; the last row stays all ones
     levels = np.arange(n_bids + 1)
 
-    profile = init
     renormalizations = 0
     trajectory: list[tuple[int, float]] = []
     last = config.max_iterations
-    for k in range(1, last + 1):
+    for k in range(last + 1):  # k best-reply steps taken so far
+        if k == last or k and not k % config.check_interval:
+            if k:  # the start is certified as given
+                # an exact convex mix drifts ~1e-16 per step; renormalize rows from_matrix would reject
+                totals = agent_cdf[:, -1]
+                bad = np.abs(totals - 1.0) > PROB_TOL
+                if bad.any():
+                    agent_cdf[bad] /= totals[bad, None]
+                    renormalizations += int(bad.sum())
+                profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
+            certificate = certify(profile, instance)
+            trajectory.append((k, certificate.epsilon))
+            if k == last or config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
+                break
         best = best_replies(engine.curves(cdf))
-        eta = config.schedule.rate(k - 1)
+        eta = config.schedule.rate(k)
         agent_cdf *= 1.0 - eta
         np.add(agent_cdf, eta, out=agent_cdf, where=levels > best[:, None])
-        if k % config.check_interval and k < last:
-            continue
-
-        # the update is an exact convex mix, so rounding drift is ~1e-16 per
-        # step; rows that from_matrix would reject are renormalized first
-        totals = agent_cdf[:, -1]
-        bad = np.abs(totals - 1.0) > PROB_TOL
-        if bad.any():
-            agent_cdf[bad] /= totals[bad, None]
-            renormalizations += int(bad.sum())
-        profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
-        certificate = certify(profile, instance)
-        trajectory.append((k, certificate.epsilon))
-        if config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
-            break
-
-    if not trajectory:
-        # no iteration ran: certify the initialization itself, which the
-        # table's row differences would match only up to rounding
-        certificate = certify(init, instance)
-        trajectory.append((0, certificate.epsilon))
 
     return SolverResult(
         profile=profile,

@@ -4,7 +4,9 @@ A profile is an epsilon-Nash equilibrium of the grid game when no agent can
 gain more than epsilon by any unilateral deviation. Deviation payoffs are
 linear in the deviator's mixed strategy, so it is enough to check pure bids:
 the certified gap per agent is ``max over grid of payoff curve - achieved
-payoff``, and epsilon is the largest gap.
+payoff``, and epsilon is the largest gap. A certificate depends on the
+profile and the instance alone, so ``verify`` recomputes ``solve``'s
+``certificate.json`` from its ``strategies.csv``.
 """
 from __future__ import annotations
 
@@ -74,19 +76,13 @@ def certify(profile: StrategyProfile, instance: AuctionInstance) -> EquilibriumC
     )
 
 
-def certificate_to_json(
-    certificate: EquilibriumCertificate,
-    iterations: int | None = None,
-    config_echo: dict | None = None,
-) -> dict:
-    """Serializable view of a certificate, with optional run context."""
+def certificate_to_json(certificate: EquilibriumCertificate) -> dict:
+    """Serializable view of a certificate: the document ``solve`` writes and ``verify`` prints."""
     return {
         "epsilon": certificate.epsilon,
         "gaps": certificate.gaps.tolist(),
         "payoffs": certificate.payoffs.tolist(),
         "best_response_bids": certificate.best_response_bids.tolist(),
-        "iterations": iterations,
-        "config_echo": config_echo,
     }
 
 

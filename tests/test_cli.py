@@ -45,8 +45,7 @@ def test_solve_writes_all_artifacts(solved):
     assert set(payoff_rows[0]) == {"agent_id", "bid", "expected_payoff"}
 
     cert = json.loads((solved / "certificate.json").read_text())
-    assert set(cert) == {"epsilon", "gaps", "payoffs", "best_response_bids", "iterations", "config_echo"}
-    assert cert["iterations"] == 400
+    assert set(cert) == {"epsilon", "gaps", "payoffs", "best_response_bids"}  # the run record is the manifest
 
     manifest = json.loads((solved / "manifest.json").read_text())
     assert manifest["instance"]["name"] == "example-1"
@@ -64,13 +63,13 @@ def test_solve_reruns_byte_identically(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_verify_reproduces_certificate(solved, capsys):
-    cert = json.loads((solved / "certificate.json").read_text())
-    capsys.readouterr()
-    assert main(["verify", "--example", "1", str(solved / "strategies.csv")]) == 0
-    replay = json.loads(capsys.readouterr().out)
-    assert abs(replay["epsilon"] - cert["epsilon"]) <= 1e-12
-    assert replay["gaps"] == cert["gaps"]
+def test_verify_reproduces_certificate(solved, tmp_path, capsys):
+    start = tmp_path / "start"
+    assert main(_solve_args(start, ["--max-iters", "0"])) == 0  # the later --max-iters wins
+    for out in (solved, start):
+        capsys.readouterr()
+        assert main(["verify", "--example", "1", str(out / "strategies.csv")]) == 0
+        assert capsys.readouterr().out == (out / "certificate.json").read_text(encoding="utf-8")  # byte for byte
 
 
 def test_verify_hand_written_equilibrium(tmp_path, capsys):
@@ -163,6 +162,19 @@ _NAN_VALUE = {
                  id="fractional-steps"),
     pytest.param({**_PAIR, "grid": {"max": 1.0, "steps": True}}, [], "invalid input: steps must be an integer, got True",
                  id="boolean-steps"),
+    pytest.param({**_PAIR, "scenarios": [{"members": [0, 1], "prob": True}]}, [],
+                 "invalid input: scenarios[0].prob must be a number, got True", id="boolean-prob"),
+    pytest.param({**_PAIR, "grid": {"max": True, "steps": 4}}, [], "invalid input: grid.max must be a number, got True",
+                 id="boolean-max"),
+    pytest.param({**_PAIR, "rule": {"alpha": False}}, [], "invalid input: rule.alpha must be a number, got False",
+                 id="boolean-alpha"),
+    pytest.param({**_PAIR, "values": [0.5, True]}, [], "invalid input: values[1] must be a number, got True",
+                 id="boolean-value"),
+    pytest.param({**_PAIR, "scenarios": [{"members": [0, 1], "prob": "1"}]}, [],
+                 "invalid input: scenarios[0].prob must be a number, got '1'", id="string-prob"),
+    pytest.param({"players": [{"values": [0.1, 0.2]}, {"values": [0.1]}], "joint": [[0.5], ["0.5"]],
+                  "grid": {"max": 1.0, "steps": 4}}, [], "invalid input: joint[1][0] must be a number, got '0.5'",
+                 id="string-joint-cell"),
     pytest.param(None, ["--alpha", "2"], "invalid input: --alpha 2.0: alpha 2.0 outside [0, 1]", id="alpha"),
     pytest.param(None, ["--max-iters", "-1"], "invalid input: --max-iters -1: max_iterations must be >= 0",
                  id="max-iters"),
@@ -245,7 +257,8 @@ def test_solve_oversized_random_instance_exits_2(tmp_path, capsys, monkeypatch):
     argv = ["solve", "--example", "random", "--n-agents", "10", "--n-scenarios", "1", "--max-iters", "10"]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["invalid input: 10 agents x 101 grid levels exceed the 1000-cell table limit"]
+    assert err.splitlines() == ["invalid input: --n-agents 10: "
+                                "10 agents x 101 grid levels exceed the 1000-cell table limit"]
     assert not out.exists()
 
 
@@ -306,13 +319,19 @@ def test_batch_runs_each_seed(tmp_path):
     assert repeat[0]["epsilon"] == rows[0]["epsilon"]
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    pytest.param("--alpha", "2", "alpha 2.0 outside [0, 1]", id="alpha"),
-    pytest.param("--n-scenarios", "0", "need at least two agents and one scenario", id="n-scenarios"),
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--alpha", "2"], "alpha 2.0 outside [0, 1]", id="alpha"),
+    pytest.param(["--n-scenarios", "0"], "invalid input: --n-scenarios 0: need at least one scenario",
+                 id="n-scenarios"),
+    pytest.param(["--n-agents", "1"], "invalid input: --n-agents 1: need at least two agents to form pairs",
+                 id="n-agents"),
+    pytest.param(["--n-agents", "1", "--n-scenarios", "0"],
+                 "invalid input: --n-scenarios 0: need at least one scenario",
+                 id="n-agents-and-n-scenarios"),  # the generator checks the scenario count first
 ])
-def test_batch_bad_flag_exits_2_before_any_seed(tmp_path, capsys, flag, value, message):
+def test_batch_bad_flag_exits_2_before_any_seed(tmp_path, capsys, flags, message):
     out = tmp_path / "batch"
-    assert main(["batch", "--seed-count", "2", flag, value, "--out", str(out)]) == 2
+    assert main(["batch", "--seed-count", "2", *flags, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # no seed ran
     assert len(captured.err.splitlines()) == 1

@@ -70,8 +70,8 @@ def test_example_2_structure():
     inst = named.instance
     assert inst.values == pytest.approx([1 / 3, 2 / 3, 1.0])
     table = conditional_scenarios(inst)
-    assert [q for _, q in table.for_agent(1)] == [0.5, 0.5]
-    assert [q for _, q in table.for_agent(0)] == [1.0]
+    assert [q for _, q in table[1]] == [0.5, 0.5]
+    assert [q for _, q in table[0]] == [1.0]
     assert len(inst.grid) == 601
     assert named.config.max_iterations == 1_000_000
 

@@ -45,16 +45,16 @@ def test_conditional_scenarios_chain():
     # agent 1 sits in both scenarios, agents 0 and 2 in one each
     inst = _instance([1 / 3, 2 / 3, 1.0], [(0, 1), (1, 2)], [0.5, 0.5], [0.0, 0.5, 1.0])
     table = conditional_scenarios(inst)
-    assert [q for _, q in table.for_agent(1)] == [0.5, 0.5]
-    assert [q for _, q in table.for_agent(0)] == [1.0]
-    assert [q for _, q in table.for_agent(2)] == [1.0]
+    assert [q for _, q in table[1]] == [0.5, 0.5]
+    assert [q for _, q in table[0]] == [1.0]
+    assert [q for _, q in table[2]] == [1.0]
 
 
 def test_conditional_scenarios_single_grand_scenario():
     inst = _instance([0.5, 0.5, 0.5], [(0, 1, 2)], [1.0], [0.0, 1.0])
     table = conditional_scenarios(inst)
     for a in range(3):
-        assert [q for _, q in table.for_agent(a)] == [1.0]
+        assert [q for _, q in table[a]] == [1.0]
 
 
 def test_conditional_scenarios_four_scenario_mix():
@@ -67,8 +67,8 @@ def test_conditional_scenarios_four_scenario_mix():
         [0.0, 1.0],
     )
     table = conditional_scenarios(inst)
-    assert [q for _, q in table.for_agent(3)] == [1.0]
-    assert [q for _, q in table.for_agent(0)] == pytest.approx([1 / 3] * 3)
+    assert [q for _, q in table[3]] == [1.0]
+    assert [q for _, q in table[0]] == pytest.approx([1 / 3] * 3)
 
 
 def test_agent_outside_every_scenario_is_rejected():
@@ -82,8 +82,8 @@ def test_conditional_scenarios_match_the_per_agent_filter():
     inst = example_4().instance
     mass = participation_probabilities(inst)
     table = conditional_scenarios(inst)
-    for a in range(inst.n_agents):
-        assert table.for_agent(a) == tuple((s, s.prob / mass[a]) for s in inst.scenarios if a in s.members)
+    assert table == tuple(tuple((s, s.prob / mass[a]) for s in inst.scenarios if a in s.members)
+                          for a in range(inst.n_agents))
 
 
 def test_engine_rejects_an_aggregation_matrix_above_the_table_limit(monkeypatch):

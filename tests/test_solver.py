@@ -63,6 +63,14 @@ def test_config_validation():
         SolverConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         SolverConfig(check_interval=0)
+    # the integer fields take whole numbers only, like scenario members
+    config = SolverConfig(max_iterations=1e3, check_interval=10.0)
+    assert (config.max_iterations, config.check_interval) == (1000, 10)
+    assert type(config.max_iterations) is int and type(config.check_interval) is int
+    for field in ("max_iterations", "check_interval"):
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+                SolverConfig(**{field: value})
     for init in ("gaussian", "uniform", "point-mass-at-zero"):  # a start is a profile or None
         with pytest.raises(ValueError):
             SolverConfig(init=init)

@@ -81,9 +81,8 @@ def test_certificate_json_fields():
     rng = np.random.default_rng(8)
     inst = random_small_instance(rng)
     cert = certify(random_profile(rng, inst.n_agents, inst.n_bids), inst)
-    doc = certificate_to_json(cert, iterations=123, config_echo={"max_iterations": 123})
-    assert set(doc) == {"epsilon", "gaps", "payoffs", "best_response_bids", "iterations", "config_echo"}
-    assert doc["iterations"] == 123
+    doc = certificate_to_json(cert)
+    assert set(doc) == {"epsilon", "gaps", "payoffs", "best_response_bids"}
     assert len(doc["gaps"]) == inst.n_agents
     assert doc["epsilon"] == max(doc["gaps"])
 
