@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,46 +41,54 @@ from .solver import LearningSchedule, SolverConfig, run
 from .verify import certificate_to_json, certify
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_grid_csv(path: Path, instance: AuctionInstance, **columns: np.ndarray) -> None:
-    """One row per (agent, grid level): ``agent_id,bid`` and each (agents x bids) column."""
-    bids = [_fmt(b) for b in instance.grid.bids]
-    lines = [",".join(["agent_id", "bid", *columns])]
-    for a, rows in enumerate(zip(*(c.tolist() for c in columns.values()))):
-        for bid, *cells in zip(bids, *rows):
-            lines.append(",".join([str(a), bid, *map(_fmt, cells)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One row per (agent, grid level): ``agent_id,bid`` and each (agents x bids) column, as ``%.17g``.
+
+    Each agent's rows are written by one ``%`` over a template of its id and the bids.
+    """
+    cells = ",%.17g" * len(columns) + "\n"
+    levels = [f",{b:.17g}{cells}" for b in instance.grid.bids.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["agent_id", "bid", *columns]) + "\n")
+        for a in range(instance.n_agents):
+            agent = str(a)
+            block = np.stack([c[a] for c in columns.values()], axis=1)  # (levels, columns), row by row
+            fh.write((agent + agent.join(levels)) % tuple(block.ravel().tolist()))
 
 
 def _read_strategies_csv(path: Path, instance: AuctionInstance) -> StrategyProfile:
     """Rebuild a profile from a strategies.csv, checking it fits the instance.
 
-    Every row's bid must lie within 1e-12 of a grid level, and every agent
-    needs exactly one row per grid level.
+    ``agent_id``, ``bid`` and ``pdf`` are found by header name. A row lacking
+    one is a ``csv.Error`` (unreadable), a field that does not parse a
+    ``ValueError``. Every row's bid must lie within 1e-12 of a grid level,
+    and every agent needs exactly one row per grid level.
     """
-    agents, bids, pdf = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"agent_id", "bid", "pdf"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    with open(path, encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        required = ("agent_id", "bid", "pdf")
+        if header is None or not set(required).issubset(header):
             raise ValueError(f"strategy file needs columns {sorted(required)}")
-        for row in reader:
-            agents.append(int(row["agent_id"]))
-            bids.append(float(row["bid"]))
-            pdf.append(float(row["pdf"]))
+        position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # header only
+            try:
+                table = np.loadtxt(fh, dtype=[("agent", np.intp), ("bid", float), ("pdf", float)], delimiter=",",
+                                   usecols=[position[name] for name in required], comments=None, quotechar='"',
+                                   ndmin=1)
+            except ValueError as exc:
+                if str(exc).startswith("invalid column index"):  # numpy's wording for a row that is too short
+                    raise csv.Error(f"a row lacks a needed field ({exc})") from None
+                raise
+    agents, bids, pdf = table["agent"], table["bid"], table["pdf"]
     n, n_bids = instance.n_agents, instance.n_bids
     grid = instance.grid.bids
-    bids = np.array(bids)
     # nearest grid level: the one searchsorted lands on or its lower neighbour
     j = np.clip(np.searchsorted(grid, bids), 1, n_bids - 1)
     j -= bids - grid[j - 1] <= grid[j] - bids
     off = ~(np.abs(grid[j] - bids) <= 1e-12)
     if off.any():
         raise ValueError(f"bid {bids[off][0]} is not on the instance grid")
-    agents = np.array(agents, dtype=np.intp)
     found = np.unique(agents).tolist()
     if found != list(range(n)):
         raise ValueError(f"expected agents 0..{n - 1}, found {found}")
@@ -224,7 +233,7 @@ def cmd_batch(args, loaded) -> int:
         try:
             result = run(instance, config)
             duration = time.perf_counter() - started
-            rows.append(f"{seed},{_fmt(result.certificate.epsilon)},{duration:.3f}")
+            rows.append(f"{seed},{result.certificate.epsilon:.17g},{duration:.3f}")
             print(f"seed {seed}: epsilon {result.certificate.epsilon:.6g} ({duration:.2f}s)")
         except Exception as exc:  # record the failure, keep the batch going
             duration = time.perf_counter() - started

@@ -48,6 +48,13 @@ def _exact_int(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def _not_bool(x, what: str):
+    """``x``, or ``ValueError`` when it is a bool, which Python would read as the number 0 or 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return x
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
@@ -107,7 +114,7 @@ class Scenario:
         members = frozenset(_exact_int(m, "scenario member") for m in self.members)
         if not members:
             raise ValueError("scenario needs at least one member")
-        if not 0.0 <= self.prob <= 1.0:
+        if not 0.0 <= _not_bool(self.prob, "scenario probability") <= 1.0:
             raise ValueError(f"scenario probability {self.prob} outside [0, 1]")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "prob", float(self.prob))
@@ -125,7 +132,7 @@ class PaymentRule:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+        if not 0.0 <= _not_bool(self.alpha, "alpha") <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         object.__setattr__(self, "alpha", float(self.alpha))
 

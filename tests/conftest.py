@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +57,20 @@ def brute_force_curves(profile: StrategyProfile, instance: AuctionInstance, max_
                 win = bids > top_rival  # ties and losses pay and win nothing
                 curves[agent, win] += q * weight * (value - alpha * bids[win] - (1.0 - alpha) * top_rival)
     return curves
+
+
+def write_grid_csv_by_line(path: Path, instance: AuctionInstance, **columns: np.ndarray) -> None:
+    """Reference for ``cli._write_grid_csv``: the same file, built line by
+    line with one ``format(x, ".17g")`` call per cell."""
+    def fmt(x) -> str:
+        return format(float(x), ".17g")
+
+    bids = [fmt(b) for b in instance.grid.bids]
+    lines = [",".join(["agent_id", "bid", *columns])]
+    for a, rows in enumerate(zip(*(c.tolist() for c in columns.values()))):
+        for bid, *cells in zip(bids, *rows):
+            lines.append(",".join([str(a), bid, *map(fmt, cells)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def random_small_instance(rng, max_agents=4, max_scenarios=5, max_grid=20, alpha=1.0) -> AuctionInstance:

@@ -2,17 +2,30 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fbauction
 import fbauction.cli as fb_cli
-from fbauction import example_1, save_instance
+from conftest import write_grid_csv_by_line
+from fbauction import (
+    AuctionInstance,
+    BidGrid,
+    PaymentRule,
+    all_payoff_curves,
+    example_1,
+    get_example,
+    run,
+    save_instance,
+)
 from fbauction.cli import main
 
 
@@ -97,19 +110,95 @@ def test_verify_hand_written_equilibrium(tmp_path, capsys):
     assert replay["epsilon"] == 0.0
 
 
-def test_verify_rejects_garbage_csv(tmp_path):
+def _assert_same_grid_csv(path: Path, instance: AuctionInstance, **columns: np.ndarray) -> None:
+    fb_cli._write_grid_csv(path, instance, **columns)
+    reference = path.with_name(f"reference-{path.name}")
+    write_grid_csv_by_line(reference, instance, **columns)
+    assert path.read_bytes() == reference.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("example, steps, alpha, iterations", [
+    *(pytest.param(n, None, None, 3000, id=f"example-{n}") for n in "12345"),
+    pytest.param("1", None, 0.5, 3000, id="example-1-alpha-0.5"),
+    pytest.param("4", 4000, None, 200, id="example-4-grid-4000"),
+])
+def test_grid_csv_matches_the_line_by_line_writer(tmp_path, example, steps, alpha, iterations):
+    named = get_example(example)
+    base = named.instance
+    grid = base.grid if steps is None else BidGrid.uniform(float(base.grid.bids[-1]), steps)
+    instance = AuctionInstance(base.values, base.scenarios, grid, base.rule if alpha is None else PaymentRule(alpha))
+    result = run(instance, dataclasses.replace(named.config, max_iterations=iterations))
+    w = result.profile.weights
+    _assert_same_grid_csv(tmp_path / "strategies.csv", instance, pdf=w, cdf=np.cumsum(w, axis=1))
+    _assert_same_grid_csv(tmp_path / "payoffs.csv", instance,
+                          expected_payoff=all_payoff_curves(result.profile, instance))
+
+
+def test_grid_csv_matches_the_line_by_line_writer_on_special_values(tmp_path):
+    # random magnitudes 1e-300..1e300 of either sign, then signed zeros,
+    # subnormals, extremes and non-finite cells
+    rng = np.random.default_rng(13)
+    cells = rng.choice([-1.0, 1.0], size=(4, 401)) * 10.0 ** rng.uniform(-300, 300, size=(4, 401))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1e300, -1e300, 1.7976931348623157e308,
+               2.2250738585072014e-308, -0.1, -1.0, 1 / 3, np.nan, np.inf, -np.inf]
+    cells[1, :len(special)] = special
+    _assert_same_grid_csv(tmp_path / "payoffs.csv", get_example("1").instance, expected_payoff=cells)
+
+
+def _csv_text(rows: list[list[str]], end: str = "\n") -> str:
+    return "".join(",".join(row) + end for row in rows)
+
+
+# ways to write one strategies.csv that verify reads alike; each maps the
+# parsed rows (header first) to the file's text
+_LAYOUTS = {
+    "crlf": lambda rows: _csv_text(rows, "\r\n"),
+    "blank-lines": lambda rows: "\n".join([_csv_text(rows[:1]), _csv_text(rows[1:50]), "", _csv_text(rows[50:]), ""]),
+    "every-field-quoted": lambda rows: _csv_text([[f'"{cell}"' for cell in row] for row in rows]),
+    "columns-reordered": lambda rows: _csv_text([[r[2], r[3], r[1], r[0]] for r in rows]),  # pdf,cdf,bid,agent_id
+    "extra-column": lambda rows: _csv_text([[*rows[0], "note"]] + [[*row, "x"] for row in rows[1:]]),
+    "extra-trailing-field": lambda rows: _csv_text(rows[:1] + [[*row, "9"] for row in rows[1:]]),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_verify_reads_every_csv_layout(solved, capsys, layout):
+    with open(solved / "strategies.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rewritten = solved / f"{layout}.csv"
+    rewritten.write_bytes(_LAYOUTS[layout](rows).encode("utf-8"))
+    capsys.readouterr()
+    assert main(["verify", "--example", "1", str(rewritten)]) == 0
+    assert capsys.readouterr().out == (solved / "certificate.json").read_text(encoding="utf-8")
+
+
+def test_verify_rejects_garbage_csv(tmp_path, capsys):
     garbage = tmp_path / "garbage.csv"
-    garbage.write_text("who,what\n1,2\n")
-    assert main(["verify", "--example", "1", str(garbage)]) == 2
-    short = tmp_path / "short.csv"
-    short.write_text("agent_id,bid,pdf\n0,0.0,1.0\n")
-    assert main(["verify", "--example", "1", str(short)]) == 2
+    for text, message in [
+        ("who,what\n1,2\n", "strategy file needs columns"),
+        ("agent_id,bid,pdf\n0,0.0,1.0\n", "expected agents 0..3, found [0]"),
+        ("agent_id,bid,pdf\n1.5,0.0,1.0\n", "'1.5'"),  # an agent id is a whole number
+        ("agent_id,bid,pdf\n" + "9" * 23 + ",0.0,1.0\n", "9" * 23),  # and fits an index
+        ("agent_id,bid,pdf\n", "expected agents 0..3, found []"),  # header only
+        ("", "strategy file needs columns"),
+        ("agent_id,bid,pdf\n# note\n", "'# note'"),  # '#' starts no comment
+    ]:
+        garbage.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns "input contained no data" on an empty body
+            assert main(["verify", "--example", "1", str(garbage)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and message in err, text
 
 
 def test_verify_unreadable_strategies_exits_1(solved, capsys):
     assert main(["verify", "--example", "1", str(solved / "missing.csv")]) == 1
     truncated = solved / "truncated.csv"
     truncated.write_text("agent_id,bid,pdf\n0,0.0\n")  # a row without its pdf
+    assert main(["verify", "--example", "1", str(truncated)]) == 1
+    lines = (solved / "strategies.csv").read_text().splitlines(keepends=True)
+    lines[51] = ",".join(lines[51].split(",")[:2]) + "\n"  # agent_id,bid but no pdf or cdf, mid-file
+    truncated.write_text("".join(lines))
     assert main(["verify", "--example", "1", str(truncated)]) == 1
     assert all(line.startswith("error: cannot read input") for line in capsys.readouterr().err.splitlines())
 

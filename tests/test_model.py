@@ -69,12 +69,18 @@ def test_scenario_invariants():
         Scenario(frozenset({0}), -0.1)
     with pytest.raises(ValueError):
         Scenario(frozenset({0}), 1.5)
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match=f"^scenario probability must be a number, got {re.escape(repr(flag))}$"):
+            Scenario(frozenset({0, 1}), flag)
 
 
 def test_payment_rule_range():
     assert PaymentRule(0.5).alpha == 0.5
     with pytest.raises(ValueError):
         PaymentRule(1.2)
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match=f"^alpha must be a number, got {re.escape(repr(flag))}$"):
+            PaymentRule(flag)
 
 
 def _pair_instance(probs, values=(0.3, 0.7), grid_steps=4):

@@ -78,6 +78,12 @@ def test_config_validation():
         SolverConfig(epsilon_target=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(epsilon_target=float("nan"))
+    # a bool is no number, though Python compares it as 0 or 1
+    with pytest.raises(ValueError, match="^epsilon_target must be a number, got True$"):
+        SolverConfig(epsilon_target=True)
+    for kind in LearningSchedule.KINDS:
+        with pytest.raises(ValueError, match="^coefficient must be a number, got True$"):
+            LearningSchedule(kind, True)
 
 
 def test_best_response_sole_participant():
