@@ -61,8 +61,9 @@ def _read_strategies_csv(path: Path, instance: AuctionInstance) -> StrategyProfi
 
     ``agent_id``, ``bid`` and ``pdf`` are found by header name. A row lacking
     one is a ``csv.Error`` (unreadable), a field that does not parse a
-    ``ValueError``. Every row's bid must lie within 1e-12 of a grid level,
-    and every agent needs exactly one row per grid level.
+    ``ValueError``; both name the file and the line. Every row's bid must lie
+    within 1e-12 of a grid level, and every agent needs exactly one row per
+    grid level.
     """
     with open(path, encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -70,16 +71,14 @@ def _read_strategies_csv(path: Path, instance: AuctionInstance) -> StrategyProfi
         if header is None or not set(required).issubset(header):
             raise ValueError(f"strategy file needs columns {sorted(required)}")
         position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        usecols = [position[name] for name in required]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # header only
             try:
                 table = np.loadtxt(fh, dtype=[("agent", np.intp), ("bid", float), ("pdf", float)], delimiter=",",
-                                   usecols=[position[name] for name in required], comments=None, quotechar='"',
-                                   ndmin=1)
+                                   usecols=usecols, comments=None, quotechar='"', ndmin=1)
             except ValueError as exc:
-                if str(exc).startswith("invalid column index"):  # numpy's wording for a row that is too short
-                    raise csv.Error(f"a row lacks a needed field ({exc})") from None
-                raise
+                raise _first_bad_line(path, dict(zip(required, usecols)), exc) from None
     agents, bids, pdf = table["agent"], table["bid"], table["pdf"]
     n, n_bids = instance.n_agents, instance.n_bids
     grid = instance.grid.bids
@@ -100,6 +99,38 @@ def _read_strategies_csv(path: Path, instance: AuctionInstance) -> StrategyProfi
     weights = np.zeros((n, n_bids))
     weights[agents, j] = pdf
     return StrategyProfile.from_matrix(weights)
+
+
+def _first_bad_line(path: Path, columns: dict[str, int], exc: ValueError) -> Exception:
+    """The error for the first body line of ``path`` that ``np.loadtxt`` rejected with ``exc``.
+
+    numpy numbers the rows it read, not the file's lines, so the file is read
+    again with ``csv.reader``, and the error names its line: 1-based, the
+    header and blank lines counted. Like ``np.loadtxt``, it reads a row's
+    columns in order and stops at the first one missing (``csv.Error``) or
+    unparsable (``ValueError``).
+    """
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        for row in reader:
+            if not row:  # a blank line, which np.loadtxt skips
+                continue
+            for (name, col), parse in zip(columns.items(), (np.intp, float, float)):
+                if col >= len(row):
+                    return csv.Error(f"{path}, line {reader.line_num}: no {name} field")
+                if not _parses(parse, row[col]):
+                    return ValueError(f"{path}, line {reader.line_num}: cannot read {name} {row[col]!r}")
+    return ValueError(f"{path}: {exc}")
+
+
+def _parses(parse, text: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``text`` with ``parse``: Python's parsers also take '_' and non-ASCII digits."""
+    try:
+        parse(text)
+    except (ValueError, OverflowError):
+        return False
+    return text.isascii() and "_" not in text
 
 
 def _load(args, seed: int | None = None) -> tuple[str, dict, AuctionInstance, SolverConfig]:

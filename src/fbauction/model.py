@@ -31,8 +31,10 @@ PROB_TOL = 1e-9
 # 80 MB at the limit). BidGrid.uniform checks the grid levels before it
 # allocates, validate_instance (on every AuctionInstance) the agents x levels
 # tables the solver holds, and PayoffEngine raises InvalidInstanceError
-# before it allocates an aggregation matrix (agents x rival sets) or gathered
-# rival rows (rival sets x most rivals x levels) above the limit.
+# when its aggregation matrix (agents x rival sets) or its gathered rival
+# rows (rival sets x most rivals x levels) would exceed the limit. The rival
+# guard also bounds, whenever some scenario has 2+ rivals, the two (rival
+# sets x levels) buffers of a curves workspace, which gather one slot at a time.
 MAX_TABLE_CELLS = 10_000_000
 
 

@@ -69,9 +69,14 @@ class PayoffEngine:
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
 
+    ``curves`` writes into a :meth:`workspace` that the caller owns and
+    returns the workspace's ``curves`` buffer, so an array it returned is
+    overwritten by the next call on the same workspace; without one it makes
+    a fresh workspace per call. Calls are safe concurrently when each caller
+    uses its own workspace or none.
+
     The engine holds its instance weakly, so the :func:`engine_for` cache
-    keeps no instance alive. ``curves`` allocates its own scratch space and
-    is safe to call concurrently.
+    keeps no instance alive.
     """
 
     def __init__(self, instance: AuctionInstance, dedup: bool = True):
@@ -86,20 +91,19 @@ class PayoffEngine:
                 column.setdefault(rivals, len(column))
         max_rivals = max(map(len, column), default=0)
         if max_rivals <= 1:
-            set_members = None
+            slots: tuple[np.ndarray, ...] = ()
             column = {rivals: rivals[0] if rivals else n for rivals in column}
             n_columns = n + 1
         else:
             # rival slot n points at the all-ones row, so padded slots and
             # rival-free scenarios contribute a neutral factor to the products
-            set_members = np.full((len(column), max_rivals), n, dtype=np.intp)
-            for rivals, col in column.items():
-                set_members[col, : len(rivals)] = rivals
+            padded = [rivals + (n,) * (max_rivals - len(rivals)) for rivals in column]  # in column order
+            slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
             n_columns = len(column)
         limit = model.MAX_TABLE_CELLS  # read at call time
         if n * n_columns > limit:
             raise InvalidInstanceError([f"{n} agents x {n_columns} rival sets exceed the {limit}-cell table limit"])
-        if set_members is not None and set_members.size * (bids.size + 1) > limit:
+        if slots and len(column) * max_rivals * (bids.size + 1) > limit:
             gather = f"{len(column)} rival sets x {max_rivals} rivals x {bids.size + 1} levels"
             raise InvalidInstanceError([f"{gather} exceed the {limit}-cell table limit"])
         qmat = np.zeros((n, n_columns))
@@ -113,7 +117,7 @@ class PayoffEngine:
         self._second_price_share = 1.0 - self._alpha
         self._use_mixture = self._alpha < 1.0
         self._bids = bids
-        self._set_members = set_members
+        self._slots = slots
         self._qmat = qmat
         self._value_margin = instance.values[:, None] - self._alpha * bids[None, :]
         self.n_groups = len(set(rows))
@@ -139,20 +143,45 @@ class PayoffEngine:
         below[n, :] = 1.0
         return below
 
-    def curves(self, below: np.ndarray) -> np.ndarray:
+    def workspace(self) -> dict[str, np.ndarray]:
+        """Fresh output buffers for :meth:`curves`, which overwrites them on every call.
+
+        ``win`` is (n_agents, n_bids + 1) and ``curves`` (n_agents, n_bids);
+        ``sets`` and ``gathered``, (rival sets, n_bids + 1), exist only when
+        some scenario has two or more rivals.
+        """
+        n, levels = self._n, self._n_bids + 1
+        work = {"win": np.empty((n, levels)), "curves": np.empty((n, levels - 1))}
+        if self._slots:
+            # one block: freeing two equal blocks trips glibc's adaptive trim
+            # threshold, so a fresh workspace per call faulted its pages in
+            # anew every time, which made certify 2.5x slower at 500 rival sets
+            work["sets"], work["gathered"] = np.empty((2, self._slots[0].size, levels))
+        return work
+
+    def curves(self, below: np.ndarray, work: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """Expected payoff of every agent at every pure bid, given a profile.
 
         ``below`` is the profile's strict-CDF table (see :meth:`cdf_table`);
-        returns an (n_agents, n_bids) array.
+        returns an (n_agents, n_bids) array: the ``curves`` buffer of
+        ``work``, or of a fresh :meth:`workspace` when ``work`` is None.
         """
         if below.shape != (self._n + 1, self._n_bids + 1):
             raise ValueError(f"expected a ({self._n + 1}, {self._n_bids + 1}) CDF table, got {below.shape}")
-        if self._set_members is None:
+        if work is None:
+            work = self.workspace()
+        if not self._slots:
             set_win = below                           # one rival: its CDF row is the set's
         else:
-            set_win = below[self._set_members].prod(axis=1)  # P(top rival < level), per set
-        win = self._qmat @ set_win                    # conditional mixture, per agent
-        curves = self._value_margin * win[:, :-1]
+            # P(top rival < level), per set: multiplied slot by slot, the order
+            # of prod(axis=1); mode="clip" lets take write into out unbuffered
+            set_win, gathered = work["sets"], work["gathered"]
+            np.take(below, self._slots[0], axis=0, out=set_win, mode="clip")
+            for slot in self._slots[1:]:
+                np.take(below, slot, axis=0, out=gathered, mode="clip")
+                set_win *= gathered
+        win = np.matmul(self._qmat, set_win, out=work["win"])  # conditional mixture, per agent
+        curves = np.multiply(self._value_margin, win[:, :-1], out=work["curves"])
         if self._use_mixture:
             top_pmf = np.diff(win, axis=1)            # P(top rival bids exactly grid[m])
             partial = np.empty_like(top_pmf)

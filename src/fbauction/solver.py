@@ -131,12 +131,14 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     cdf = engine.cdf_table(profile.weights)  # raises ValueError on a wrongly shaped init
     agent_cdf = cdf[:n]  # a view; the last row stays all ones
     levels = np.arange(n_bids + 1)
+    work = None  # the curves workspace: each iteration overwrites the last's, which its replies consumed
 
     renormalizations = 0
     trajectory: list[tuple[int, float]] = []
     last = config.max_iterations
     for k in range(last + 1):  # k best-reply steps taken so far
         if k == last or k and not k % config.check_interval:
+            work = None  # certify makes its own; freeing ours first lowers the peak memory
             if k:  # the start is certified as given
                 # an exact convex mix drifts ~1e-16 per step; renormalize rows from_matrix would reject
                 totals = agent_cdf[:, -1]
@@ -149,7 +151,9 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
             trajectory.append((k, certificate.epsilon))
             if k == last or config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
                 break
-        best = best_replies(engine.curves(cdf))
+        if work is None:
+            work = engine.workspace()
+        best = best_replies(engine.curves(cdf, work))
         eta = config.schedule.rate(k)
         agent_cdf *= 1.0 - eta
         np.add(agent_cdf, eta, out=agent_cdf, where=levels > best[:, None])

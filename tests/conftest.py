@@ -10,10 +10,12 @@ import numpy as np
 from fbauction import (
     AuctionInstance,
     BidGrid,
+    PayoffEngine,
     PaymentRule,
     PlayerAuction,
     Scenario,
     StrategyProfile,
+    conditional_scenarios,
     participation_probabilities,
 )
 
@@ -56,6 +58,35 @@ def brute_force_curves(profile: StrategyProfile, instance: AuctionInstance, max_
                 top_rival = max(bids[j] for j in combo)
                 win = bids > top_rival  # ties and losses pay and win nothing
                 curves[agent, win] += q * weight * (value - alpha * bids[win] - (1.0 - alpha) * top_rival)
+    return curves
+
+
+def gathered_curves(engine: PayoffEngine, instance: AuctionInstance, below: np.ndarray) -> np.ndarray:
+    """Reference for ``PayoffEngine.curves`` on the engine's aggregation and
+    margin tables, with the rival sets' CDF products formed by one gather,
+    ``below[set_members].prod(axis=1)``, in place of slot by slot.
+
+    ``set_members`` is rebuilt from the instance: the rival sets in order of
+    first appearance (the engine's column order), each ascending and padded
+    with row ``n_agents``, the all-ones row.
+    """
+    n = instance.n_agents
+    sets = {tuple(sorted(s.members - {a})): None for a, items in enumerate(conditional_scenarios(instance))
+            for s, _q in items}
+    width = max(map(len, sets))
+    if width > 1:
+        set_members = np.array([rivals + (n,) * (width - len(rivals)) for rivals in sets])
+        set_win = below[set_members].prod(axis=1)
+    else:
+        set_win = below
+    win = engine._qmat @ set_win
+    curves = engine._value_margin * win[:, :-1]
+    if engine._use_mixture:
+        top_pmf = np.diff(win, axis=1)
+        partial = np.empty_like(top_pmf)
+        partial[:, 0] = 0.0
+        np.cumsum((top_pmf * engine._bids)[:, :-1], axis=1, out=partial[:, 1:])
+        curves -= engine._second_price_share * partial
     return curves
 
 

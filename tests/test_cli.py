@@ -172,6 +172,9 @@ def test_verify_reads_every_csv_layout(solved, capsys, layout):
     assert capsys.readouterr().out == (solved / "certificate.json").read_text(encoding="utf-8")
 
 
+_TWO_ROWS = "agent_id,bid,pdf\n0,0.0,1.0\n0,0.0025,0.0\n"
+
+
 def test_verify_rejects_garbage_csv(tmp_path, capsys):
     garbage = tmp_path / "garbage.csv"
     for text, message in [
@@ -182,6 +185,10 @@ def test_verify_rejects_garbage_csv(tmp_path, capsys):
         ("agent_id,bid,pdf\n", "expected agents 0..3, found []"),  # header only
         ("", "strategy file needs columns"),
         ("agent_id,bid,pdf\n# note\n", "'# note'"),  # '#' starts no comment
+        # errors name the file's line: the header is line 1 and blank lines count
+        (_TWO_ROWS + "1.5,0.0,1.0\n", "garbage.csv, line 4: cannot read agent_id '1.5'"),
+        (_TWO_ROWS + "\n1.5,0.0,1.0\n", "garbage.csv, line 5: cannot read agent_id '1.5'"),
+        (_TWO_ROWS + "1_0,0.0,1.0\n", "garbage.csv, line 4: cannot read agent_id '1_0'"),  # int() reads it, numpy not
     ]:
         garbage.write_text(text)
         with warnings.catch_warnings():
@@ -200,7 +207,11 @@ def test_verify_unreadable_strategies_exits_1(solved, capsys):
     lines[51] = ",".join(lines[51].split(",")[:2]) + "\n"  # agent_id,bid but no pdf or cdf, mid-file
     truncated.write_text("".join(lines))
     assert main(["verify", "--example", "1", str(truncated)]) == 1
-    assert all(line.startswith("error: cannot read input") for line in capsys.readouterr().err.splitlines())
+    truncated.write_text(_TWO_ROWS + "0,0.005\n")
+    assert main(["verify", "--example", "1", str(truncated)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("error: cannot read input") for line in errors)
+    assert errors[-3:] == [f"error: cannot read input: {truncated}, line {n}: no pdf field" for n in (2, 52, 4)]
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fbauction.model
 import fbauction.payoff as fb_payoff
 
-from conftest import brute_force_curves, random_profile, random_small_instance, symmetric_binary_analytic_profile
+from conftest import brute_force_curves, gathered_curves, random_profile, random_small_instance, symmetric_binary_analytic_profile
 from fbauction import (
     AuctionInstance,
     BidGrid,
@@ -28,6 +28,7 @@ from fbauction import (
     convert_player_to_agent,
     example_1,
     example_4,
+    get_example,
     participation_probabilities,
     run,
 )
@@ -192,6 +193,41 @@ def test_engine_matches_brute_force_on_converted_player_auctions(case):
     assert curves == pytest.approx(brute_force_curves(profile, inst), abs=1e-12)
 
 
+def _at_alpha(instance, alpha):
+    return AuctionInstance(instance.values, instance.scenarios, instance.grid, PaymentRule(alpha))
+
+
+def _three_independent_players():
+    value_sets = [[0.2, 0.6], [0.3, 0.5, 0.9], [0.4, 0.8]]
+    marginals = [[0.5, 0.5], [0.2, 0.3, 0.5], [0.7, 0.3]]
+    values, scenarios, _partition = convert_player_to_agent(PlayerAuction.independent(value_sets, marginals))
+    return AuctionInstance(values, scenarios, BidGrid.uniform(1.0, 60))
+
+
+_WORKSPACE_CASES = {
+    **{f"example-{n}": lambda n=n: get_example(n).instance for n in "12345"},
+    "example-1-alpha0.5": lambda: _at_alpha(example_1().instance, 0.5),
+    "three-independent-players": _three_independent_players,
+    # 0, 1, 2 and 3 rivals, so the shorter rival sets have padded slots
+    "rivals-0-to-3": lambda: _instance([0.9, 0.7, 0.5, 0.3], [(0,), (0, 1), (1, 2, 3), (0, 1, 2, 3)],
+                                       [0.1, 0.2, 0.3, 0.4], np.linspace(0.0, 1.0, 9)),
+}
+
+
+@pytest.mark.parametrize("build", _WORKSPACE_CASES.values(), ids=_WORKSPACE_CASES.keys())
+def test_curves_on_a_reused_workspace_match_the_gathered_products_bit_for_bit(build):
+    inst = build()
+    engine = PayoffEngine(inst)
+    work = engine.workspace()
+    rng = np.random.default_rng(14)
+    for _ in range(4):  # each call overwrites the last one's buffers
+        table = engine.cdf_table(random_profile(rng, inst.n_agents, inst.n_bids).weights)
+        curves = engine.curves(table, work)
+        assert curves is work["curves"]
+        assert np.array_equal(curves, engine.curves(table))
+        assert np.array_equal(curves, gathered_curves(engine, inst, table))
+
+
 def test_mixed_payoff_degenerate_and_uniform():
     rng = np.random.default_rng(5)
     inst = random_small_instance(rng, max_grid=6)
@@ -290,6 +326,20 @@ def test_payoff_curves_threadsafe():
         got = list(pool.map(lambda a: all_payoff_curves(profile, inst)[a], range(4)))
     for want, have in zip(expected, got):
         assert np.array_equal(want, have)
+
+    # one workspace per thread, each reused for many calls
+    inst = example_4().instance  # two rivals per scenario, so the rival products have buffers too
+    engine = fb_payoff.engine_for(inst)
+    table = engine.cdf_table(random_profile(np.random.default_rng(4), inst.n_agents, inst.n_bids).weights)
+    expected = engine.curves(table)
+
+    def own_workspace(_thread):
+        work = engine.workspace()
+        return [engine.curves(table, work).copy() for _ in range(50)]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for results in pool.map(own_workspace, range(4)):
+            assert all(np.array_equal(expected, have) for have in results)
 
 
 def test_engine_cache_keeps_no_instance_alive(monkeypatch):

@@ -231,8 +231,8 @@ def test_run_matches_the_update_rule_on_strategy_weights(monkeypatch, named, tie
     plain_curves = engine.curves
     replies = []
 
-    def recording_curves(table):
-        curves = plain_curves(table)
+    def recording_curves(table, *work):
+        curves = plain_curves(table, *work)
         replies.append(best_replies(curves))
         return curves
 
