@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model
 from .model import (
     AgentPartition,
     AuctionInstance,
@@ -33,6 +32,8 @@ from .model import (
     PaymentRule,
     PlayerAuction,
     Scenario,
+    _number,
+    _table_problem,
     convert_player_to_agent,
     validate_instance,  # unused here; perfbench's tracer patches it here by name
 )
@@ -166,9 +167,8 @@ def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> Nam
     if n_agents < 2:
         raise ValueError("need at least two agents to form pairs")
     grid = BidGrid.uniform(1.0, 100)
-    limit = model.MAX_TABLE_CELLS  # read at call time
-    if n_agents * len(grid) > limit:  # the table the instance needs if every agent draws a pair
-        raise ValueError(f"{n_agents} agents x {len(grid)} grid levels exceed the {limit}-cell table limit")
+    if problem := _table_problem((n_agents, "agents"), (len(grid), "grid levels")):  # if every agent draws a pair
+        raise ValueError(problem)
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, size=n_agents)
     prob = 1.0 / n_scenarios
@@ -223,15 +223,6 @@ def instance_to_dict(instance: AuctionInstance) -> dict:
     }
 
 
-def _numbers(x, field: str):
-    """``x`` as read, or ``ValueError`` naming ``field`` when it or any entry in it is a bool or a string."""
-    if isinstance(x, (bool, str)):
-        raise ValueError(f"{field} must be a number, got {x!r}")
-    for i, item in enumerate(x if isinstance(x, (list, tuple)) else ()):
-        _numbers(item, f"{field}[{i}]")
-    return x
-
-
 def instance_from_dict(data: dict) -> AuctionInstance:
     """Build an instance from a parsed JSON document.
 
@@ -240,22 +231,22 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     ``KeyError``/``ValueError`` for structurally broken documents.
     """
     grid_spec = data["grid"]
-    grid = BidGrid.uniform(_numbers(grid_spec["max"], "grid.max"), grid_spec["steps"])
-    rule = PaymentRule(_numbers(data.get("rule", {}).get("alpha", 1.0), "rule.alpha"))
+    grid = BidGrid.uniform(_number(grid_spec["max"], "grid.max"), grid_spec["steps"])
+    rule = PaymentRule(_number(data.get("rule", {}).get("alpha", 1.0), "rule.alpha"))
 
     if "players" in data:
         entries = list(enumerate(data["players"]))
-        value_sets = tuple(_numbers(p["values"], f"players[{i}].values") for i, p in entries)
+        value_sets = tuple(_number(p["values"], f"players[{i}].values") for i, p in entries)
         if "joint" in data:
-            players = PlayerAuction(value_sets, _numbers(data["joint"], "joint"))
+            players = PlayerAuction(value_sets, _number(data["joint"], "joint"))
         else:
-            marginals = [_numbers(p["probs"], f"players[{i}].probs") for i, p in entries]
+            marginals = [_number(p["probs"], f"players[{i}].probs") for i, p in entries]
             players = PlayerAuction.independent(value_sets, marginals)
         values, scenarios, _partition = convert_player_to_agent(players)
         return AuctionInstance(values, scenarios, grid, rule)
-    scenarios = tuple(Scenario(frozenset(s["members"]), _numbers(s["prob"], f"scenarios[{i}].prob"))
+    scenarios = tuple(Scenario(frozenset(s["members"]), _number(s["prob"], f"scenarios[{i}].prob"))
                       for i, s in enumerate(data["scenarios"]))
-    return AuctionInstance(_numbers(data["values"], "values"), scenarios, grid, rule)
+    return AuctionInstance(_number(data["values"], "values"), scenarios, grid, rule)
 
 
 def load_instance(path: str | Path) -> AuctionInstance:

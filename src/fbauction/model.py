@@ -19,6 +19,7 @@ All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -28,13 +29,7 @@ import numpy as np
 PROB_TOL = 1e-9
 
 # Largest table an instance may need, in float64 cells (8 bytes each, so
-# 80 MB at the limit). BidGrid.uniform checks the grid levels before it
-# allocates, validate_instance (on every AuctionInstance) the agents x levels
-# tables the solver holds, and PayoffEngine raises InvalidInstanceError
-# when its aggregation matrix (agents x rival sets) or its gathered rival
-# rows (rival sets x most rivals x levels) would exceed the limit. The rival
-# guard also bounds, whenever some scenario has 2+ rivals, the two (rival
-# sets x levels) buffers of a curves workspace, which gather one slot at a time.
+# 80 MB at the limit). _table_problem is its one reader.
 MAX_TABLE_CELLS = 10_000_000
 
 
@@ -50,11 +45,32 @@ def _exact_int(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
-def _not_bool(x, what: str):
-    """``x``, or ``ValueError`` when it is a bool, which Python would read as the number 0 or 1."""
-    if isinstance(x, (bool, np.bool_)):
+def _table_problem(*dims: tuple[int, str]) -> str | None:
+    """Why a table of ``(size, name)`` dimensions is too large to allocate, or None when it fits."""
+    if math.prod(size for size, _name in dims) > MAX_TABLE_CELLS:
+        return " x ".join(f"{size} {name}" for size, name in dims) + f" exceed the {MAX_TABLE_CELLS}-cell table limit"
+    return None
+
+
+def _number(x, what: str):
+    """``x``, or ``ValueError`` naming ``what`` when it or any entry in it is a bool (read as 0 or 1) or a string."""
+    if type(x) is float:  # the common case, e.g. once per Scenario
+        return x
+    if isinstance(x, (bool, np.bool_, str)):
         raise ValueError(f"{what} must be a number, got {x!r}")
+    if isinstance(x, (list, tuple)):
+        for i, item in enumerate(x):
+            _number(item, f"{what}[{i}]")
     return x
+
+
+def _levels(x: np.ndarray, what: str) -> np.ndarray:
+    """Read-only copy of the vector ``x`` after checking it is finite and strictly increasing."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError(f"{what} must be strictly increasing")
+    return _readonly(x)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -83,11 +99,7 @@ class BidGrid:
             raise ValueError("bid grid needs at least two levels")
         if bids[0] != 0.0:
             raise ValueError("bid grid must start at 0")
-        if not np.all(np.isfinite(bids)):
-            raise ValueError("bid levels must be finite")
-        if np.any(np.diff(bids) <= 0.0):
-            raise ValueError("bid levels must be strictly increasing")
-        object.__setattr__(self, "bids", _readonly(bids))
+        object.__setattr__(self, "bids", _levels(bids, "bid levels"))
 
     @classmethod
     def uniform(cls, max_bid: float, steps: int) -> "BidGrid":
@@ -95,9 +107,9 @@ class BidGrid:
         steps = _exact_int(steps, "steps")
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        if steps + 1 > MAX_TABLE_CELLS:
-            raise ValueError(f"{steps + 1} grid levels exceed the {MAX_TABLE_CELLS}-cell table limit")
-        if not 0.0 < max_bid < np.inf:
+        if problem := _table_problem((steps + 1, "grid levels")):
+            raise ValueError(problem)
+        if not 0.0 < _number(max_bid, "max_bid") < np.inf:
             raise ValueError(f"max_bid must be positive and finite, got {max_bid}")
         return cls(np.linspace(0.0, float(max_bid), steps + 1))
 
@@ -116,7 +128,7 @@ class Scenario:
         members = frozenset(_exact_int(m, "scenario member") for m in self.members)
         if not members:
             raise ValueError("scenario needs at least one member")
-        if not 0.0 <= _not_bool(self.prob, "scenario probability") <= 1.0:
+        if not 0.0 <= _number(self.prob, "scenario probability") <= 1.0:
             raise ValueError(f"scenario probability {self.prob} outside [0, 1]")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "prob", float(self.prob))
@@ -134,7 +146,7 @@ class PaymentRule:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= _not_bool(self.alpha, "alpha") <= 1.0:
+        if not 0.0 <= _number(self.alpha, "alpha") <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -195,8 +207,8 @@ def validate_instance(instance: AuctionInstance) -> list[str]:
         if bad.any():
             problems.append(f"agents {np.flatnonzero(bad).tolist()} have {kind} values")
     n = instance.n_agents
-    if n * instance.n_bids > MAX_TABLE_CELLS:
-        problems.append(f"{n} agents x {instance.n_bids} grid levels exceed the {MAX_TABLE_CELLS}-cell table limit")
+    if problem := _table_problem((n, "agents"), (instance.n_bids, "grid levels")):
+        problems.append(problem)
     members = set().union(*(s.members for s in instance.scenarios))
     unknown = sorted(m for m in members if not 0 <= m < n)
     if unknown:
@@ -217,19 +229,19 @@ def participation_probabilities(instance: AuctionInstance) -> np.ndarray:
     return out
 
 
-def _probability_rows(weights: np.ndarray, ndim: int) -> np.ndarray:
+def _probability_rows(weights: np.ndarray, ndim: int, what: str = "weights") -> np.ndarray:
     """Read-only copy of ``weights`` after checking every row is a probability vector."""
     w = _readonly(weights)
     if w.ndim != ndim or w.size == 0:
-        raise ValueError(f"weights must be a non-empty {ndim}-d array, got shape {w.shape}")
+        raise ValueError(f"{what} must be a non-empty {ndim}-d array, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+        raise ValueError(f"{what} must be finite")
     if np.any(w < 0.0):
-        raise ValueError("weights must be non-negative")
+        raise ValueError(f"{what} must be non-negative")
     totals = w.sum(axis=-1)
     off = np.abs(totals - 1.0) > PROB_TOL
     if np.any(off):
-        raise ValueError(f"weights sum to {float(totals[off].flat[0]):.12g}, expected 1")
+        raise ValueError(f"{what} sum to {float(totals[off].flat[0]):.12g}, expected 1")
     return w
 
 
@@ -287,28 +299,20 @@ class PlayerAuction:
     joint: np.ndarray
 
     def __post_init__(self):
-        sets = tuple(_readonly(np.atleast_1d(np.asarray(vs, dtype=np.float64))) for vs in self.value_sets)
-        if not sets:
-            raise ValueError("need at least one player")
-        for i, vs in enumerate(sets):
+        sets = []
+        for i, vs in enumerate(self.value_sets):
+            vs = np.atleast_1d(np.asarray(vs, dtype=np.float64))
             if vs.size == 0:
                 raise ValueError(f"player {i} has an empty value set")
-            if not np.all(np.isfinite(vs)):
-                raise ValueError(f"player {i} has non-finite values")
             if np.any(vs < 0.0):
                 raise ValueError(f"player {i} has negative values")
-            if np.any(np.diff(vs) <= 0.0):
-                raise ValueError(f"player {i} values must be strictly increasing")
+            sets.append(_levels(vs, f"player {i} values"))
+        if not sets:
+            raise ValueError("need at least one player")
         joint = np.asarray(self.joint, dtype=np.float64)
         if joint.shape != tuple(vs.size for vs in sets):
             raise ValueError(f"joint table shape {joint.shape} does not match value sets")
-        if not np.all(np.isfinite(joint)):
-            raise ValueError("joint probabilities must be finite")
-        if np.any(joint < 0.0):
-            raise ValueError("joint probabilities must be non-negative")
-        total = float(joint.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"joint probabilities sum to {total:.12g}, expected 1")
+        joint = _probability_rows(joint.ravel(), 1, "joint probabilities").reshape(joint.shape)
         for i in range(len(sets)):
             axes = tuple(ax for ax in range(len(sets)) if ax != i)
             marginal = joint.sum(axis=axes) if axes else joint
@@ -317,8 +321,8 @@ class PlayerAuction:
                 # a value that never occurs would convert to an agent that
                 # never participates; drop it from the value set instead
                 raise ValueError(f"player {i} values at positions {dead.tolist()} have zero probability mass")
-        object.__setattr__(self, "value_sets", sets)
-        object.__setattr__(self, "joint", _readonly(joint))
+        object.__setattr__(self, "value_sets", tuple(sets))
+        object.__setattr__(self, "joint", joint)
 
     @classmethod
     def independent(cls, value_sets: Sequence[Sequence[float]], marginals: Sequence[Sequence[float]]) -> "PlayerAuction":
@@ -329,6 +333,9 @@ class PlayerAuction:
         for i, (vs, m) in enumerate(zip(value_sets, margs)):
             if len(vs) != m.size:
                 raise ValueError(f"player {i}: {len(vs)} values but {m.size} probabilities")
+        # the conversion writes one member per player for every value profile
+        if problem := _table_problem((math.prod(m.size for m in margs), "value profiles"), (len(margs), "players")):
+            raise ValueError(problem)
         joint = reduce(np.multiply.outer, margs)
         return cls(tuple(np.asarray(vs, dtype=np.float64) for vs in value_sets), joint)
 

@@ -26,8 +26,8 @@ import weakref
 
 import numpy as np
 
-from . import model
-from .model import AuctionInstance, InvalidInstanceError, Scenario, StrategyProfile, participation_probabilities
+from .model import (AuctionInstance, InvalidInstanceError, Scenario, StrategyProfile, _table_problem,
+                    participation_probabilities)
 
 
 class ConditionalScenarioTable(tuple):
@@ -63,8 +63,8 @@ class PayoffEngine:
     rival-free scenario), and nothing is gathered or multiplied.
     ``n_groups`` counts the distinct conditional structures (rival sets and
     their probabilities) among the agents; ``dedup`` is accepted for
-    compatibility and ignored. An instance whose ``qmat`` or gathered rival
-    rows would exceed ``model.MAX_TABLE_CELLS`` raises :class:`InvalidInstanceError`.
+    compatibility and ignored. A ``qmat`` or workspace block (2 x rival sets
+    x levels) above the table limit raises :class:`InvalidInstanceError`.
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
@@ -100,12 +100,11 @@ class PayoffEngine:
             padded = [rivals + (n,) * (max_rivals - len(rivals)) for rivals in column]  # in column order
             slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
             n_columns = len(column)
-        limit = model.MAX_TABLE_CELLS  # read at call time
-        if n * n_columns > limit:
-            raise InvalidInstanceError([f"{n} agents x {n_columns} rival sets exceed the {limit}-cell table limit"])
-        if slots and len(column) * max_rivals * (bids.size + 1) > limit:
-            gather = f"{len(column)} rival sets x {max_rivals} rivals x {bids.size + 1} levels"
-            raise InvalidInstanceError([f"{gather} exceed the {limit}-cell table limit"])
+        problem = _table_problem((n, "agents"), (n_columns, "rival sets"))
+        if slots and not problem:  # the workspace's one block of set products and gathered rows
+            problem = _table_problem((2, "product buffers"), (n_columns, "rival sets"), (bids.size + 1, "levels"))
+        if problem:
+            raise InvalidInstanceError([problem])
         qmat = np.zeros((n, n_columns))
         for a, items in enumerate(rows):
             for rivals, q in items:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # validate_instance is unused here; perfbench's tracer patches it here by name
-from .model import PROB_TOL, AuctionInstance, StrategyProfile, _exact_int, _not_bool, validate_instance
+from .model import PROB_TOL, AuctionInstance, StrategyProfile, _exact_int, _number, validate_instance
 from .payoff import engine_for
 from .verify import EquilibriumCertificate, best_replies, certify
 
@@ -48,7 +48,7 @@ class LearningSchedule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not 0.0 < _not_bool(self.coefficient, "coefficient") <= 1.0:
+        if not 0.0 < _number(self.coefficient, "coefficient") <= 1.0:
             raise ValueError("coefficient must lie in (0, 1] so every step stays a convex mix")
 
     @classmethod
@@ -93,7 +93,7 @@ class SolverConfig:
             raise ValueError("check_interval must be >= 1")
         if not (self.init is None or isinstance(self.init, StrategyProfile)):
             raise ValueError(f"init must be a StrategyProfile or None, got {self.init!r}")
-        if self.epsilon_target is not None and not _not_bool(self.epsilon_target, "epsilon_target") >= 0:
+        if self.epsilon_target is not None and not _number(self.epsilon_target, "epsilon_target") >= 0:
             raise ValueError(f"epsilon_target must be >= 0, got {self.epsilon_target}")
 
     def echo(self) -> dict:

@@ -4,9 +4,10 @@ Each numbered criterion prints one PASS/FAIL line; run with
 
     pytest tests/test_acceptance.py -v -s
 
-The whole module takes about 96 s with BLAS at 1 thread on a 2-core host:
-criterion 5 takes 78 s and criterion 2's setup 8.5 s, because both run a
-million solver iterations per instance at their reference settings.
+Run by itself, the whole module took 200 s with BLAS at 1 thread on a shared
+2-core host at load average 1: criterion 5 takes about 156 s and criterion
+2's setup 19-20 s, because both run a million solver iterations per instance
+at their reference settings.
 """
 from __future__ import annotations
 

@@ -339,13 +339,28 @@ def test_solve_oversized_aggregation_matrix_exits_2(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_solve_oversized_rival_gather_exits_2(tmp_path, capsys, monkeypatch):
-    # example 4's engine gathers 27 rival sets x 2 rivals x 402 levels
+def test_solve_oversized_rival_product_block_exits_2(tmp_path, capsys, monkeypatch):
+    # example 4's engine multiplies its rivals in a block of 2 x 27 rival sets x 402 levels
     monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 20_000)
     out = tmp_path / "out"
     assert main(["solve", "--example", "4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["invalid instance: 27 rival sets x 2 rivals x 402 levels exceed the 20000-cell table limit"]
+    assert err.splitlines() == ["invalid instance: 2 product buffers x 27 rival sets x 402 levels "
+                                "exceed the 20000-cell table limit"]
+    assert not out.exists()
+
+
+def test_solve_player_file_with_too_many_value_profiles_exits_2(tmp_path, capsys, monkeypatch):
+    # 3 independent players x 3 values convert to 27 scenarios of 3 members;
+    # the count is refused before the joint table is built
+    doc = {"players": [{"values": [0.1, 0.2, 0.3], "probs": [0.2, 0.3, 0.5]}] * 3, "grid": {"max": 1.0, "steps": 4}}
+    path = tmp_path / "players.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 27 * 3 - 1)
+    out = tmp_path / "out"
+    assert main(["solve", "--file", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid input: 27 value profiles x 3 players exceed the 80-cell table limit"]
     assert not out.exists()
 
 

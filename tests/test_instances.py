@@ -185,6 +185,20 @@ def test_random_instance_rejects_oversized_table_before_drawing(monkeypatch):
     assert random_instance(0, n_agents=9).instance.n_bids == 101
 
 
+def test_player_file_rejects_too_many_value_profiles_before_converting(monkeypatch):
+    doc = {"players": [{"values": [0.1, 0.2, 0.3], "probs": [0.2, 0.3, 0.5]}] * 3, "grid": {"max": 1.0, "steps": 4}}
+    converted = []
+    convert = fbauction.instances.convert_player_to_agent
+    monkeypatch.setattr(fbauction.instances, "convert_player_to_agent", lambda p: converted.append(p) or convert(p))
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 27 * 3 - 1)
+    with pytest.raises(ValueError, match="^27 value profiles x 3 players exceed the 80-cell table limit$"):
+        instance_from_dict(doc)
+    assert converted == []
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 27 * 3)
+    assert len(instance_from_dict(doc).scenarios) == 27
+    assert len(converted) == 1
+
+
 def test_random_instance_needs_two_agents():
     with pytest.raises(ValueError):
         random_instance(0, n_agents=1)

@@ -33,9 +33,15 @@ def test_bid_grid_uniform():
     assert grid.bids[1] == 1.0 / 400.0
 
 
-@pytest.mark.parametrize("max_bid", [np.nan, np.inf, 0.0])
-def test_bid_grid_uniform_rejects_bad_max_bid(max_bid):
-    with pytest.raises(ValueError, match="max_bid must be positive and finite"):
+@pytest.mark.parametrize("max_bid, message", [
+    pytest.param(np.nan, "max_bid must be positive and finite", id="nan"),
+    pytest.param(np.inf, "max_bid must be positive and finite", id="inf"),
+    pytest.param(0.0, "max_bid must be positive and finite", id="0.0"),
+    pytest.param(True, "^max_bid must be a number, got True$", id="True"),  # would build a grid up to 1.0
+    pytest.param("1.0", "^max_bid must be a number, got '1.0'$", id="str"),
+])
+def test_bid_grid_uniform_rejects_bad_max_bid(max_bid, message):
+    with pytest.raises(ValueError, match=message):
         BidGrid.uniform(max_bid, 4)
 
 
@@ -69,7 +75,7 @@ def test_scenario_invariants():
         Scenario(frozenset({0}), -0.1)
     with pytest.raises(ValueError):
         Scenario(frozenset({0}), 1.5)
-    for flag in (True, np.True_):
+    for flag in (True, np.True_, "0.5"):
         with pytest.raises(ValueError, match=f"^scenario probability must be a number, got {re.escape(repr(flag))}$"):
             Scenario(frozenset({0, 1}), flag)
 
@@ -78,7 +84,7 @@ def test_payment_rule_range():
     assert PaymentRule(0.5).alpha == 0.5
     with pytest.raises(ValueError):
         PaymentRule(1.2)
-    for flag in (True, False, np.True_):
+    for flag in (True, False, np.True_, "0.5"):
         with pytest.raises(ValueError, match=f"^alpha must be a number, got {re.escape(repr(flag))}$"):
             PaymentRule(flag)
 
@@ -272,8 +278,8 @@ def test_player_auction_rejects_empty_value_set():
         pytest.param([[0.1], [0.2]], [[np.nan]], "joint probabilities must be finite", id="nan-joint"),
         pytest.param([[0.1, 0.2], [0.3]], [[np.nan], [0.5]], "joint probabilities must be finite", id="nan-joint-cell"),
         pytest.param([[0.1, 0.2], [0.3]], [[np.inf], [0.5]], "joint probabilities must be finite", id="inf-joint-cell"),
-        pytest.param([[0.1, np.inf]], [0.5, 0.5], "player 0 has non-finite values", id="inf-value"),
-        pytest.param([[0.2], [np.nan, 0.1]], [[0.5, 0.5]], "player 1 has non-finite values", id="nan-value"),
+        pytest.param([[0.1, np.inf]], [0.5, 0.5], "player 0 values must be finite", id="inf-value"),
+        pytest.param([[0.2], [np.nan, 0.1]], [[0.5, 0.5]], "player 1 values must be finite", id="nan-value"),
         pytest.param([], 1.0, "need at least one player", id="no-players"),
         pytest.param([[-0.1, 0.2]], [0.5, 0.5], "player 0 has negative values", id="negative-value"),
         pytest.param([[0.2, 0.2]], [0.5, 0.5], "player 0 values must be strictly increasing", id="repeated-value"),

@@ -99,13 +99,26 @@ def test_engine_rejects_an_aggregation_matrix_above_the_table_limit(monkeypatch)
         run(inst, named.config)
 
 
-def test_engine_rejects_a_rival_gather_above_the_table_limit(monkeypatch):
-    # example 4 gathers 27 rival sets x 2 rivals x 402 levels = 21708 cells;
+def test_engine_rejects_a_rival_product_block_above_the_table_limit(monkeypatch):
+    # example 4's workspace block is 2 x 27 rival sets x 402 levels = 21708 cells;
     # its qmat (243 cells) and agents x levels table (3609) fit the limit
-    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 20_000)
-    with pytest.raises(InvalidInstanceError) as raised:
-        PayoffEngine(example_4().instance)
-    assert raised.value.problems == ["27 rival sets x 2 rivals x 402 levels exceed the 20000-cell table limit"]
+    inst = example_4().instance
+    for limit in (20_000, 2 * 27 * 402 - 1):
+        monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", limit)
+        with pytest.raises(InvalidInstanceError) as raised:
+            PayoffEngine(inst)
+        assert raised.value.problems == [f"2 product buffers x 27 rival sets x 402 levels exceed the {limit}-cell table limit"]
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 2 * 27 * 402)
+    assert PayoffEngine(inst).workspace()["sets"].shape == (27, 402)
+
+
+def test_engine_accepts_rival_sets_whose_product_block_fits():
+    # 5 independent players x 6 values: 30 agents, 7776 scenarios, 6480 rival
+    # sets of 4 rivals; the product block is 2 x 6480 x 402 = 5.2 M cells
+    players = PlayerAuction.independent([np.arange(1, 7) / 6] * 5, [np.full(6, 1 / 6)] * 5)
+    values, scenarios, _partition = convert_player_to_agent(players)
+    engine = PayoffEngine(AuctionInstance(values, scenarios, BidGrid.uniform(1.0, 400)))
+    assert [slot.size for slot in engine._slots] == [6480] * 4
 
 
 def test_curves_rejects_a_weight_matrix():

@@ -79,11 +79,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon_target=float("nan"))
     # a bool is no number, though Python compares it as 0 or 1
-    with pytest.raises(ValueError, match="^epsilon_target must be a number, got True$"):
-        SolverConfig(epsilon_target=True)
+    # and a string no number either, though numpy would parse it
+    for value in (True, "0.1"):
+        with pytest.raises(ValueError, match=f"^epsilon_target must be a number, got {value!r}$"):
+            SolverConfig(epsilon_target=value)
     for kind in LearningSchedule.KINDS:
-        with pytest.raises(ValueError, match="^coefficient must be a number, got True$"):
-            LearningSchedule(kind, True)
+        for value in (True, "1"):
+            with pytest.raises(ValueError, match=f"^coefficient must be a number, got {value!r}$"):
+                LearningSchedule(kind, value)
 
 
 def test_best_response_sole_participant():
