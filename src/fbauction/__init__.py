@@ -9,7 +9,6 @@ profile) and certified exactly against all pure deviations on the grid.
 
 from .model import (
     FIRST_PRICE,
-    AgentPartition,
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
@@ -51,7 +50,6 @@ from .instances import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentPartition",
     "AuctionInstance",
     "BidGrid",
     "BUILTIN_EXAMPLES",

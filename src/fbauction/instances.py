@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    AgentPartition,
     AuctionInstance,
     BidGrid,
     PaymentRule,
@@ -47,14 +46,15 @@ class NamedInstance:
     ``expected_epsilon`` is the certificate size the recommended
     configuration is known to reach (order of magnitude, not a bound).
     ``partition`` is present for instances built from a player-based
-    description.
+    description: ``partition[a]`` is agent ``a``'s player, as
+    :func:`~fbauction.model.convert_player_to_agent` returns it.
     """
 
     name: str
     instance: AuctionInstance
     config: SolverConfig
     expected_epsilon: float | None = None
-    partition: AgentPartition | None = None
+    partition: np.ndarray | None = None
 
 
 def _recommended(max_iterations: int) -> SolverConfig:
@@ -235,18 +235,16 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     rule = PaymentRule(_number(data.get("rule", {}).get("alpha", 1.0), "rule.alpha"))
 
     if "players" in data:
-        entries = list(enumerate(data["players"]))
-        value_sets = tuple(_number(p["values"], f"players[{i}].values") for i, p in entries)
+        value_sets = tuple(p["values"] for p in data["players"])
         if "joint" in data:
-            players = PlayerAuction(value_sets, _number(data["joint"], "joint"))
+            players = PlayerAuction(value_sets, data["joint"])
         else:
-            marginals = [_number(p["probs"], f"players[{i}].probs") for i, p in entries]
-            players = PlayerAuction.independent(value_sets, marginals)
+            players = PlayerAuction.independent(value_sets, [p["probs"] for p in data["players"]])
         values, scenarios, _partition = convert_player_to_agent(players)
         return AuctionInstance(values, scenarios, grid, rule)
     scenarios = tuple(Scenario(frozenset(s["members"]), _number(s["prob"], f"scenarios[{i}].prob"))
                       for i, s in enumerate(data["scenarios"]))
-    return AuctionInstance(_number(data["values"], "values"), scenarios, grid, rule)
+    return AuctionInstance(data["values"], scenarios, grid, rule)
 
 
 def load_instance(path: str | Path) -> AuctionInstance:

@@ -53,14 +53,24 @@ def _table_problem(*dims: tuple[int, str]) -> str | None:
 
 
 def _number(x, what: str):
-    """``x``, or ``ValueError`` naming ``what`` when it or any entry in it is a bool (read as 0 or 1) or a string."""
+    """``x``, or ``ValueError`` naming ``what`` unless it is an int or a float (a bool, read as 0 or 1, is not)."""
     if type(x) is float:  # the common case, e.g. once per Scenario
         return x
-    if isinstance(x, (bool, np.bool_, str)):
-        raise ValueError(f"{what} must be a number, got {x!r}")
-    if isinstance(x, (list, tuple)):
-        for i, item in enumerate(x):
-            _number(item, f"{what}[{i}]")
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"{what} must be a number, got {x!r}")
+
+
+def _numbers(x, what: str):
+    """``x``, after :func:`_number` has passed every entry of the nested lists or array ``x``."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":  # the common case; bool and string arrays walk below
+        return x
+    items = x.tolist() if isinstance(x, np.ndarray) else x
+    if isinstance(items, (list, tuple)):
+        for i, item in enumerate(items):
+            _numbers(item, f"{what}[{i}]")
+    else:
+        _number(items, what)
     return x
 
 
@@ -171,7 +181,7 @@ class AuctionInstance:
     rule: PaymentRule = FIRST_PRICE
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
+        values = np.atleast_1d(np.asarray(_numbers(self.values, "values"), dtype=np.float64))
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-d vector")
         object.__setattr__(self, "values", _readonly(values))
@@ -301,7 +311,7 @@ class PlayerAuction:
     def __post_init__(self):
         sets = []
         for i, vs in enumerate(self.value_sets):
-            vs = np.atleast_1d(np.asarray(vs, dtype=np.float64))
+            vs = np.atleast_1d(np.asarray(_numbers(vs, f"player {i} values"), dtype=np.float64))
             if vs.size == 0:
                 raise ValueError(f"player {i} has an empty value set")
             if np.any(vs < 0.0):
@@ -309,7 +319,7 @@ class PlayerAuction:
             sets.append(_levels(vs, f"player {i} values"))
         if not sets:
             raise ValueError("need at least one player")
-        joint = np.asarray(self.joint, dtype=np.float64)
+        joint = np.asarray(_numbers(self.joint, "joint"), dtype=np.float64)
         if joint.shape != tuple(vs.size for vs in sets):
             raise ValueError(f"joint table shape {joint.shape} does not match value sets")
         joint = _probability_rows(joint.ravel(), 1, "joint probabilities").reshape(joint.shape)
@@ -329,7 +339,8 @@ class PlayerAuction:
         """Build the joint table as the product of per-player marginals."""
         if len(value_sets) != len(marginals):
             raise ValueError("need one marginal per player")
-        margs = [np.atleast_1d(np.asarray(m, dtype=np.float64)) for m in marginals]
+        margs = [np.atleast_1d(np.asarray(_numbers(m, f"player {i} probabilities"), dtype=np.float64))
+                 for i, m in enumerate(marginals)]
         for i, (vs, m) in enumerate(zip(value_sets, margs)):
             if len(vs) != m.size:
                 raise ValueError(f"player {i}: {len(vs)} values but {m.size} probabilities")
@@ -337,77 +348,52 @@ class PlayerAuction:
         if problem := _table_problem((math.prod(m.size for m in margs), "value profiles"), (len(margs), "players")):
             raise ValueError(problem)
         joint = reduce(np.multiply.outer, margs)
-        return cls(tuple(np.asarray(vs, dtype=np.float64) for vs in value_sets), joint)
+        return cls(tuple(value_sets), joint)
 
     @property
     def n_players(self) -> int:
         return len(self.value_sets)
 
 
-@dataclass(frozen=True, eq=False)
-class AgentPartition:
-    """Back-references from converted agents to their player; ``blocks[p]`` lists player ``p``'s agents by value."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    agent_player: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "agent_player", np.asarray(self.agent_player, dtype=np.intp))
-
-    @property
-    def n_players(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def n_agents(self) -> int:
-        return int(self.agent_player.size)
-
-
-def convert_player_to_agent(auction: PlayerAuction) -> tuple[np.ndarray, tuple[Scenario, ...], AgentPartition]:
+def convert_player_to_agent(auction: PlayerAuction) -> tuple[np.ndarray, tuple[Scenario, ...], np.ndarray]:
     """Expand a player-based auction into agents and participation scenarios.
 
-    Each (player, value) pair becomes one agent; each value profile with
-    positive joint probability becomes one scenario selecting exactly one
-    agent per player, with the profile's probability. Value profiles with
-    zero probability produce no scenario, so the scenario list stays
-    proportional to the support of the joint table.
+    Each (player, value) pair becomes one agent, player by player and value by
+    value; each value profile with positive joint probability becomes one
+    scenario selecting exactly one agent per player, with the profile's
+    probability, in the C order of the joint table. Value profiles with zero
+    probability produce no scenario, so the scenario list stays proportional
+    to the support of the joint table.
 
-    Returns the agent value vector, the scenario tuple, and the partition
-    mapping agents back to players. Attach a grid and payment rule to get a
-    full :class:`AuctionInstance`.
+    Returns the agent value vector, the scenario tuple, and the partition: an
+    integer vector whose entry ``partition[a]`` is agent ``a``'s player.
+    Attach a grid and payment rule to get a full :class:`AuctionInstance`.
     """
     sizes = [vs.size for vs in auction.value_sets]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-    values = np.concatenate(auction.value_sets)
-    blocks = tuple(tuple(range(int(offsets[i]), int(offsets[i]) + sizes[i])) for i in range(len(sizes)))
-    partition = AgentPartition(
-        blocks=blocks,
-        agent_player=np.repeat(np.arange(len(sizes)), sizes),
-    )
-    scenarios = []
-    for idx in np.ndindex(*auction.joint.shape):
-        f = float(auction.joint[idx])
-        if f == 0.0:
-            continue
-        members = frozenset(int(offsets[i]) + int(t) for i, t in enumerate(idx))
-        scenarios.append(Scenario(members, f))
-    return values, tuple(scenarios), partition
+    offsets = np.cumsum([0, *sizes[:-1]])
+    support = auction.joint != 0.0
+    members = (np.argwhere(support) + offsets).tolist()
+    scenarios = tuple(Scenario(frozenset(m), f) for m, f in zip(members, auction.joint[support].tolist()))
+    return np.concatenate(auction.value_sets), scenarios, np.repeat(np.arange(len(sizes)), sizes)
 
 
 def player_payoff(
-    partition: AgentPartition,
+    partition: np.ndarray,
     agent_payoffs: np.ndarray,
     participation_probs: np.ndarray,
 ) -> np.ndarray:
     """Recompose per-player payoffs from participation-conditional agent payoffs.
 
-    ``agent_payoffs[a]`` must be the expected payoff of agent ``a`` conditional
-    on participating; weighting by the unconditional participation probability
-    and summing over a player's agents gives that player's expected payoff.
+    ``partition[a]`` is agent ``a``'s player, as :func:`convert_player_to_agent`
+    returns it. ``agent_payoffs[a]`` must be the expected payoff of agent ``a``
+    conditional on participating; weighting by the unconditional participation
+    probability and summing over a player's agents gives that player's
+    expected payoff.
     """
     pay = np.asarray(agent_payoffs, dtype=np.float64)
     part = np.asarray(participation_probs, dtype=np.float64)
-    n = partition.n_agents
+    n = len(partition)
     if pay.shape != (n,) or part.shape != (n,):
         raise ValueError(f"expected one payoff and one participation probability per agent ({n})")
-    return np.bincount(partition.agent_player, weights=pay * part, minlength=partition.n_players)
+    # every player has at least one agent, so the count runs to the last player
+    return np.bincount(partition, weights=pay * part)

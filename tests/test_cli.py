@@ -275,6 +275,12 @@ _NAN_VALUE = {
     pytest.param({"players": [{"values": [0.1, 0.2]}, {"values": [0.1]}], "joint": [[0.5], ["0.5"]],
                   "grid": {"max": 1.0, "steps": 4}}, [], "invalid input: joint[1][0] must be a number, got '0.5'",
                  id="string-joint-cell"),
+    pytest.param({**_PAIR, "scenarios": [{"members": [0, 1], "prob": None}]}, [],
+                 "invalid input: scenarios[0].prob must be a number, got None", id="null-prob"),
+    pytest.param({**_PAIR, "rule": {"alpha": None}}, [], "invalid input: rule.alpha must be a number, got None",
+                 id="null-alpha"),
+    pytest.param({**_PAIR, "grid": {"max": [1.0], "steps": 4}}, [],
+                 "invalid input: grid.max must be a number, got [1.0]", id="list-max"),
     pytest.param(None, ["--alpha", "2"], "invalid input: --alpha 2.0: alpha 2.0 outside [0, 1]", id="alpha"),
     pytest.param(None, ["--max-iters", "-1"], "invalid input: --max-iters -1: max_iterations must be >= 0",
                  id="max-iters"),

@@ -94,7 +94,7 @@ def test_example_4_structure():
     assert inst.n_agents == 9
     assert len(inst.scenarios) == 27
     assert named.partition is not None
-    assert named.partition.blocks == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    assert named.partition.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     # participation probabilities recompose the stated per-player marginals
     part = participation_probabilities(inst)
     assert part[:3] == pytest.approx([0.25, 0.25, 0.5])

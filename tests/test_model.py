@@ -94,10 +94,14 @@ def _pair_instance(probs, values=(0.3, 0.7), grid_steps=4):
     return AuctionInstance(np.array(values), scenarios, BidGrid.uniform(1.0, grid_steps))
 
 
-@pytest.mark.parametrize("values", [[[0.3, 0.7]], []], ids=["2-d", "empty"])
-def test_instance_values_must_be_a_vector(values):
-    with pytest.raises(ValueError, match="^values must be a non-empty 1-d vector$"):
-        AuctionInstance(np.array(values), (Scenario(frozenset({0, 1}), 1.0),), BidGrid.uniform(1.0, 4))
+@pytest.mark.parametrize("values, message", [
+    pytest.param(np.array([[0.3, 0.7]]), "values must be a non-empty 1-d vector", id="2-d"),
+    pytest.param(np.array([]), "values must be a non-empty 1-d vector", id="empty"),
+    pytest.param(["0.5", "0.7"], "values[0] must be a number, got '0.5'", id="strings"),  # would parse as numbers
+])
+def test_instance_values_must_be_a_vector(values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AuctionInstance(values, (Scenario(frozenset({0, 1}), 1.0),), BidGrid.uniform(1.0, 4))
 
 
 def test_scenarios_canonicalized():
@@ -212,7 +216,7 @@ def test_convert_single_player_single_value():
     assert len(scenarios) == 1
     assert scenarios[0].members == frozenset({0})
     assert scenarios[0].prob == 1.0
-    assert partition.blocks == ((0,),)
+    assert partition.tolist() == [0]
 
 
 def test_convert_three_symmetric_players():
@@ -223,19 +227,21 @@ def test_convert_three_symmetric_players():
     values, scenarios, partition = convert_player_to_agent(players)
     assert values.size == 9
     assert len(scenarios) == 27  # full support: nothing pruned
-    assert partition.blocks == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    assert partition.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     total = sum(s.prob for s in scenarios)
     assert total == pytest.approx(1.0, abs=1e-9)
     # every scenario picks exactly one agent per player
     for s in scenarios:
-        assert sorted(partition.agent_player[list(s.members)].tolist()) == [0, 1, 2]
+        assert sorted(partition[list(s.members)].tolist()) == [0, 1, 2]
 
 
 def test_convert_drops_zero_probability_profiles():
     joint = np.array([[0.5, 0.0], [0.25, 0.25]])
     players = PlayerAuction((np.array([0.1, 0.2]), np.array([0.3, 0.4])), joint)
-    _values, scenarios, _partition = convert_player_to_agent(players)
-    assert len(scenarios) == 3
+    _values, scenarios, partition = convert_player_to_agent(players)
+    # the support in the C order of the joint table, one agent per player
+    assert [(sorted(s.members), s.prob) for s in scenarios] == [([0, 2], 0.5), ([1, 2], 0.25), ([1, 3], 0.25)]
+    assert partition.tolist() == [0, 0, 1, 1]
 
 
 def test_convert_output_validates():
@@ -243,6 +249,11 @@ def test_convert_output_validates():
     for _ in range(10):
         players = random_player_auction(rng)
         values, scenarios, _ = convert_player_to_agent(players)
+        # reference: the support walked cell by cell in np.ndindex order
+        offsets = np.cumsum([0, *(vs.size for vs in players.value_sets)])[:-1]
+        expected = [(sorted(int(o) + t for o, t in zip(offsets, idx)), float(players.joint[idx]))
+                    for idx in np.ndindex(players.joint.shape) if players.joint[idx] != 0.0]
+        assert [(sorted(s.members), s.prob) for s in scenarios] == expected
         inst = AuctionInstance(values, scenarios, BidGrid.uniform(1.0, 4))
         assert validate_instance(inst) == []
         assert sum(s.prob for s in inst.scenarios) == pytest.approx(1.0, abs=1e-9)
@@ -289,6 +300,12 @@ def test_player_auction_rejects_empty_value_set():
         pytest.param([[0.1, 0.2]], [0.5, 0.6], "joint probabilities sum to 1.1, expected 1", id="joint-sum"),
         pytest.param([[0.1], [0.2, 0.3]], [[1.0, 0.0]], "player 1 values at positions [1] have zero probability mass",
                      id="zero-mass-value"),
+        # bool and string arrays would parse as numbers
+        pytest.param([[True, False]], [0.5, 0.5], "player 0 values[0] must be a number, got True", id="bool-values"),
+        pytest.param([["0.1", "0.2"]], [0.5, 0.5], "player 0 values[0] must be a number, got '0.1'",
+                     id="string-values"),
+        pytest.param([[0.1], [0.2]], [[True]], "joint[0][0] must be a number, got True", id="bool-joint"),
+        pytest.param([[0.1, 0.2]], ["0.5", "0.5"], "joint[0] must be a number, got '0.5'", id="string-joint"),
     ],
 )
 def test_player_auction_rejects_bad_input(value_sets, joint, message):
@@ -299,6 +316,11 @@ def test_player_auction_rejects_bad_input(value_sets, joint, message):
 @pytest.mark.parametrize("value_sets, marginals, message", [
     pytest.param([[0.1], [0.2]], [[1.0]], "need one marginal per player", id="missing-marginal"),
     pytest.param([[0.1, 0.2]], [[1.0]], "player 0: 2 values but 1 probabilities", id="short-marginal"),
+    pytest.param([[True, 2.0]], [[0.5, 0.5]], "player 0 values[0] must be a number, got True", id="bool-value"),
+    pytest.param([[0.1, 2.0]], [["0.5", 0.5]], "player 0 probabilities[0] must be a number, got '0.5'",
+                 id="string-probability"),
+    pytest.param([[0.1, 2.0]], [np.array([True, False])], "player 0 probabilities[0] must be a number, got True",
+                 id="bool-probability-array"),
 ])
 def test_independent_player_auction_rejects_mismatched_marginals(value_sets, marginals, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
