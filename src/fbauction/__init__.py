@@ -28,7 +28,7 @@ from .payoff import (
     all_payoff_curves,
     conditional_scenarios,
 )
-from .solver import LearningSchedule, SolverConfig, SolverResult, run
+from .solver import SolverConfig, SolverResult, run
 from .verify import EquilibriumCertificate, cdf_distance, certificate_to_json, certify
 from .instances import (
     BUILTIN_EXAMPLES,
@@ -57,7 +57,6 @@ __all__ = [
     "EquilibriumCertificate",
     "FIRST_PRICE",
     "InvalidInstanceError",
-    "LearningSchedule",
     "MixedStrategy",
     "NamedInstance",
     "PayoffEngine",

@@ -36,7 +36,7 @@ from .model import (
     convert_player_to_agent,
     validate_instance,  # unused here; perfbench's tracer patches it here by name
 )
-from .solver import LearningSchedule, SolverConfig
+from .solver import SolverConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +61,7 @@ def _recommended(max_iterations: int) -> SolverConfig:
     # equal-weight averaging of past best replies; measured to reach the
     # expected_epsilon values below, while constant or small-coefficient
     # schedules stall orders of magnitude higher on these instances
-    return SolverConfig(schedule=LearningSchedule.harmonic(1.0), max_iterations=max_iterations)
+    return SolverConfig(schedule="harmonic", coefficient=1.0, max_iterations=max_iterations)
 
 
 def example_1() -> NamedInstance:
@@ -228,11 +228,13 @@ def instance_from_dict(data: dict) -> AuctionInstance:
 
     Player-based documents are converted to agent-based form here. Raises
     :class:`InvalidInstanceError` when the instance is invalid and
-    ``KeyError``/``ValueError`` for structurally broken documents.
+    ``KeyError``/``TypeError``/``ValueError`` for structurally broken documents.
     """
-    grid_spec = data["grid"]
+    grid_spec, rule_spec = data["grid"], data.get("rule", {})
     grid = BidGrid.uniform(_number(grid_spec["max"], "grid.max"), grid_spec["steps"])
-    rule = PaymentRule(_number(data.get("rule", {}).get("alpha", 1.0), "rule.alpha"))
+    if not isinstance(rule_spec, dict):
+        raise TypeError(f"rule must be an object, got {rule_spec!r}")
+    rule = PaymentRule(_number(rule_spec.get("alpha", 1.0), "rule.alpha"))
 
     if "players" in data:
         value_sets = tuple(p["values"] for p in data["players"])

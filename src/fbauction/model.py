@@ -366,15 +366,18 @@ def convert_player_to_agent(auction: PlayerAuction) -> tuple[np.ndarray, tuple[S
     to the support of the joint table.
 
     Returns the agent value vector, the scenario tuple, and the partition: an
-    integer vector whose entry ``partition[a]`` is agent ``a``'s player.
-    Attach a grid and payment rule to get a full :class:`AuctionInstance`.
+    integer vector whose entry ``partition[a]`` is agent ``a``'s player,
+    read-only like the instance's arrays. Attach a grid and payment rule to
+    get a full :class:`AuctionInstance`.
     """
     sizes = [vs.size for vs in auction.value_sets]
     offsets = np.cumsum([0, *sizes[:-1]])
     support = auction.joint != 0.0
     members = (np.argwhere(support) + offsets).tolist()
     scenarios = tuple(Scenario(frozenset(m), f) for m, f in zip(members, auction.joint[support].tolist()))
-    return np.concatenate(auction.value_sets), scenarios, np.repeat(np.arange(len(sizes)), sizes)
+    partition = np.repeat(np.arange(len(sizes)), sizes)
+    partition.setflags(write=False)
+    return np.concatenate(auction.value_sets), scenarios, partition
 
 
 def player_payoff(

@@ -21,7 +21,7 @@ certificate uses, so a run is deterministic for one build.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,42 +31,16 @@ from .payoff import engine_for
 from .verify import EquilibriumCertificate, best_replies, certify
 
 
-@dataclass(frozen=True)
-class LearningSchedule:
-    """Step-size sequence: ``c / (k+1)`` (harmonic) or constant ``c``.
-
-    The default, harmonic with coefficient 1, weighs every past best reply
-    equally and wipes the initialization on the first step; small
-    coefficients leave most of the initialization in place forever, so use
-    them deliberately.
-    """
-
-    KINDS = ("harmonic", "constant")  # a class constant, not a field
-    kind: str = "harmonic"
-    coefficient: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not 0.0 < _number(self.coefficient, "coefficient") <= 1.0:
-            raise ValueError("coefficient must lie in (0, 1] so every step stays a convex mix")
-
-    @classmethod
-    def harmonic(cls, coefficient: float = 1.0) -> "LearningSchedule":
-        return cls("harmonic", coefficient)
-
-    @classmethod
-    def constant(cls, coefficient: float) -> "LearningSchedule":
-        return cls("constant", coefficient)
-
-    def rate(self, k: int) -> float:
-        """The step size after ``k`` steps."""
-        return self.coefficient / (k + 1) if self.kind == "harmonic" else self.coefficient
-
-
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Everything needed to reproduce a solver run.
+
+    The step size after ``k`` steps is ``coefficient / (k+1)`` when
+    ``schedule`` is ``"harmonic"`` and ``coefficient`` when it is
+    ``"constant"``. The default, harmonic with coefficient 1, weighs every
+    past best reply equally and wipes the initialization on the first step;
+    small coefficients leave most of the initialization in place forever, so
+    use them deliberately.
 
     ``init`` is the starting :class:`StrategyProfile`, or ``None`` for the
     uniform one. ``max_iterations`` and ``check_interval`` are whole numbers.
@@ -77,7 +51,9 @@ class SolverConfig:
     ignored: the payoff engine has one aggregation row per agent.
     """
 
-    schedule: LearningSchedule = field(default_factory=LearningSchedule)
+    SCHEDULES = ("harmonic", "constant")  # a class constant, not a field
+    schedule: str = "harmonic"
+    coefficient: float = 1.0
     max_iterations: int = 100_000
     epsilon_target: float | None = None
     check_interval: int = 1000
@@ -85,6 +61,10 @@ class SolverConfig:
     independent_player_cache: bool = False
 
     def __post_init__(self):
+        if self.schedule not in self.SCHEDULES:
+            raise ValueError(f"unknown schedule kind {self.schedule!r}")
+        if not 0.0 < _number(self.coefficient, "coefficient") <= 1.0:
+            raise ValueError("coefficient must lie in (0, 1] so every step stays a convex mix")
         object.__setattr__(self, "max_iterations", _exact_int(self.max_iterations, "max_iterations"))
         object.__setattr__(self, "check_interval", _exact_int(self.check_interval, "check_interval"))
         if self.max_iterations < 0:
@@ -96,10 +76,14 @@ class SolverConfig:
         if self.epsilon_target is not None and not _number(self.epsilon_target, "epsilon_target") >= 0:
             raise ValueError(f"epsilon_target must be >= 0, got {self.epsilon_target}")
 
+    def rate(self, k: int) -> float:
+        """The step size after ``k`` steps."""
+        return self.coefficient / (k + 1) if self.schedule == "harmonic" else self.coefficient
+
     def echo(self) -> dict:
         """JSON-friendly snapshot of the configuration."""
         return {
-            "schedule": {"kind": self.schedule.kind, "coefficient": self.schedule.coefficient},
+            "schedule": {"kind": self.schedule, "coefficient": self.coefficient},
             "max_iterations": self.max_iterations,
             "epsilon_target": self.epsilon_target,
             "check_interval": self.check_interval,
@@ -154,7 +138,7 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
         if work is None:
             work = engine.workspace()
         best = best_replies(engine.curves(cdf, work))
-        eta = config.schedule.rate(k)
+        eta = config.rate(k)
         agent_cdf *= 1.0 - eta
         np.add(agent_cdf, eta, out=agent_cdf, where=levels > best[:, None])
 

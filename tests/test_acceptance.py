@@ -27,7 +27,6 @@ from conftest import (
 from fbauction import (
     AuctionInstance,
     BidGrid,
-    LearningSchedule,
     PayoffEngine,
     PaymentRule,
     all_payoff_curves,
@@ -196,7 +195,7 @@ def test_criterion_8_invariant_suite(example2_run):
     shared_groups = PayoffEngine(example_4().instance).n_groups
 
     # classical fictitious play: equal-weight averaging from a point-mass start
-    fp_config = dataclasses.replace(named1.config, schedule=LearningSchedule.harmonic(1.0),
+    fp_config = dataclasses.replace(named1.config, schedule="harmonic", coefficient=1.0,
                                     init=point_mass_profile(4, named1.instance.n_bids))
     steps = 500
     agents = np.arange(4)

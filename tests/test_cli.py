@@ -383,7 +383,7 @@ def test_solve_oversized_random_instance_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_solve_unreadable_file_exits_1(tmp_path):
+def test_solve_unreadable_file_exits_1(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     assert main(["solve", "--file", str(broken), "--out", str(tmp_path / "out")]) == 1
@@ -392,6 +392,14 @@ def test_solve_unreadable_file_exits_1(tmp_path):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"players": [{"values": [0.1, 0.2]}], "grid": {"max": 1.0, "steps": 4}}))
     assert main(["solve", "--file", str(partial), "--out", str(tmp_path / "out")]) == 1
+    # the payment rule is an object, like the grid
+    capsys.readouterr()
+    for rule in (5, None, [0.5], "x"):
+        partial.write_text(json.dumps({**_PAIR, "rule": rule}))
+        assert main(["solve", "--file", str(partial), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: cannot read input: rule must be an object, got {rule!r}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_unreached_target_exits_3(tmp_path):
@@ -401,20 +409,26 @@ def test_solve_unreached_target_exits_3(tmp_path):
     assert (out / "certificate.json").exists()  # artifacts still written
 
 
-def test_solve_file_instance_with_overrides(tmp_path):
+@pytest.mark.parametrize("flags, schedule", [
+    pytest.param(["--eta-kind", "harmonic", "--eta-c", "1.0"], {"kind": "harmonic", "coefficient": 1.0}, id="both"),
+    # a lone flag keeps the recommended value of the other field
+    pytest.param(["--eta-kind", "constant"], {"kind": "constant", "coefficient": 1.0}, id="kind-alone"),
+    pytest.param(["--eta-c", "0.5"], {"kind": "harmonic", "coefficient": 0.5}, id="coefficient-alone"),
+])
+def test_solve_file_instance_with_overrides(tmp_path, flags, schedule):
     source = tmp_path / "ex1.json"
     save_instance(example_1().instance, source)
     out = tmp_path / "out"
     code = main([
         "solve", "--file", str(source), "--grid-steps", "50", "--alpha", "0.5",
-        "--eta-kind", "harmonic", "--eta-c", "1.0", "--max-iters", "200", "--out", str(out),
+        *flags, "--max-iters", "200", "--out", str(out),
     ])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["instance"]["grid"] == {"max": 1.0, "steps": 50}
     assert manifest["instance"]["alpha"] == 0.5
     assert manifest["instance"]["sha256"]
-    assert manifest["config"]["schedule"] == {"kind": "harmonic", "coefficient": 1.0}
+    assert manifest["config"]["schedule"] == schedule
 
 
 def test_batch_runs_each_seed(tmp_path):
@@ -457,6 +471,23 @@ def test_batch_bad_flag_exits_2_before_any_seed(tmp_path, capsys, flags, message
     assert captured.out == ""  # no seed ran
     assert len(captured.err.splitlines()) == 1
     assert message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["solve", "--example", "random", "--seed", "-1"], "--seed", id="solve"),
+    pytest.param(["batch", "--seed-start", "-3"], "--seed-start", id="batch"),
+])
+def test_negative_seed_exits_2_naming_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(fb_cli, "random_instance", lambda *a, **k: pytest.fail("an instance was drawn"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--out", str(out)])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"fbauction {argv[0]}: error: argument {flag}: expected a whole number >= 0, got {argv[-1]!r}")
     assert not out.exists()
 
 

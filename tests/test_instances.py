@@ -263,8 +263,8 @@ def test_loader_handles_correlated_joint_table():
 def test_loader_defaults_payment_rule():
     doc = instance_to_dict(example_1().instance)
     del doc["rule"]
-    inst = instance_from_dict(doc)
-    assert inst.rule.alpha == 1.0
+    assert instance_from_dict(doc).rule.alpha == 1.0
+    assert instance_from_dict({**doc, "rule": {}}).rule.alpha == 1.0
 
 
 def test_grid_spec_requires_uniform_grid():

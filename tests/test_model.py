@@ -19,6 +19,7 @@ from fbauction import (
     StrategyProfile,
     certify,
     convert_player_to_agent,
+    example_4,
     participation_probabilities,
     player_payoff,
     validate_instance,
@@ -185,6 +186,14 @@ def test_model_types_are_immutable():
     strat = MixedStrategy(np.array([1.0, 0.0]))
     with pytest.raises(Exception):
         strat.weights[0] = 0.3
+    # the player map stays the integer vector player_payoff sums by
+    with pytest.raises(ValueError, match="read-only"):
+        example_4().partition[0] = 2
+    players = PlayerAuction.independent([[0.1, 0.2], [0.1]], [[0.5, 0.5], [1.0]])
+    partition = convert_player_to_agent(players)[2]
+    assert partition.dtype == np.intp
+    with pytest.raises(ValueError, match="read-only"):
+        partition[2] = 0
 
 
 def test_participation_probabilities():

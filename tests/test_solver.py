@@ -12,7 +12,6 @@ from fbauction import (
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
-    LearningSchedule,
     PaymentRule,
     Scenario,
     SolverConfig,
@@ -41,21 +40,21 @@ def _step(profile, config, inst):
 def _classical_fp(named):
     """Equal-weight averaging of all past best replies from a point-mass start."""
     init = point_mass_profile(named.instance.n_agents, named.instance.n_bids)
-    return dataclasses.replace(named.config, schedule=LearningSchedule.harmonic(1.0), init=init)
+    return dataclasses.replace(named.config, schedule="harmonic", coefficient=1.0, init=init)
 
 
 def test_schedule_rates():
-    harmonic = LearningSchedule.harmonic(1.0)
+    harmonic = SolverConfig(schedule="harmonic", coefficient=1.0)
     assert harmonic.rate(0) == 1.0
     assert harmonic.rate(3) == 0.25
-    constant = LearningSchedule.constant(0.05)
+    constant = SolverConfig(schedule="constant", coefficient=0.05)
     assert constant.rate(0) == constant.rate(10**6) == 0.05
-    with pytest.raises(ValueError):
-        LearningSchedule.harmonic(1.5)  # first step would leave the simplex
-    with pytest.raises(ValueError):
-        LearningSchedule.constant(0.0)
-    with pytest.raises(ValueError):
-        LearningSchedule("geometric", 0.5)
+    with pytest.raises(ValueError, match="coefficient must lie in"):
+        SolverConfig(coefficient=1.5)  # first step would leave the simplex
+    with pytest.raises(ValueError, match="coefficient must lie in"):
+        SolverConfig(schedule="constant", coefficient=0.0)
+    with pytest.raises(ValueError, match="unknown schedule kind 'geometric'"):
+        SolverConfig(schedule="geometric", coefficient=0.5)
 
 
 def test_config_validation():
@@ -83,10 +82,10 @@ def test_config_validation():
     for value in (True, "0.1"):
         with pytest.raises(ValueError, match=f"^epsilon_target must be a number, got {value!r}$"):
             SolverConfig(epsilon_target=value)
-    for kind in LearningSchedule.KINDS:
+    for schedule in SolverConfig.SCHEDULES:
         for value in (True, "1"):
             with pytest.raises(ValueError, match=f"^coefficient must be a number, got {value!r}$"):
-                LearningSchedule(kind, value)
+                SolverConfig(schedule=schedule, coefficient=value)
 
 
 def test_best_response_sole_participant():
@@ -118,7 +117,7 @@ def test_best_response_on_a_flat_payoff_region():
 
 def test_fb_step_full_rate_gives_point_masses():
     inst = _instance([0.6, 1.0], [(0, 1)], [1.0], [0.0, 0.25, 0.5, 1.0])
-    config = SolverConfig(schedule=LearningSchedule.harmonic(1.0), max_iterations=1)
+    config = SolverConfig(schedule="harmonic", coefficient=1.0, max_iterations=1)
     rng = np.random.default_rng(1)
     profile = random_profile(rng, 2, 4)
     # eta_0 = 1: the update replaces each strategy by its best reply outright
@@ -135,7 +134,7 @@ def test_fb_step_uses_one_snapshot_for_everyone():
     inst = named.instance
     rng = np.random.default_rng(9)
     profile = random_profile(rng, 4, inst.n_bids)
-    config = SolverConfig(schedule=LearningSchedule.constant(0.25), max_iterations=1)
+    config = SolverConfig(schedule="constant", coefficient=0.25, max_iterations=1)
 
     perm = [2, 0, 3, 1]  # new index of each old agent
     permuted_inst = AuctionInstance(
@@ -160,7 +159,7 @@ def test_fb_step_fixed_point_at_mutual_best_response():
     w[1, 0] = 1.0
     profile = StrategyProfile.from_matrix(w)
     assert certify(profile, inst).epsilon == 0.0
-    config = SolverConfig(schedule=LearningSchedule.constant(0.25), max_iterations=1)
+    config = SolverConfig(schedule="constant", coefficient=0.25, max_iterations=1)
     stepped = _step(profile, config, inst)
     assert np.allclose(stepped.weights, w, atol=1e-15)
     assert np.array_equal(stepped.weights != 0.0, w != 0.0)
@@ -250,7 +249,7 @@ def test_run_matches_the_update_rule_on_strategy_weights(monkeypatch, named, tie
         curves = plain_curves(engine.cdf_table(w))
         assert np.all(curves[rows, best] >= curves.max(axis=1) - 1e-12)
         off_rule += int(np.any(best != best_replies(curves)))
-        eta = named.config.schedule.rate(k)
+        eta = named.config.rate(k)
         w *= 1.0 - eta
         w[rows, best] += eta
     assert np.abs(result.profile.weights - w).max() <= 1e-12
@@ -312,7 +311,7 @@ def test_drift_guard_renormalizes_rows_off_the_simplex(monkeypatch):
     named = example_1()
     inst = named.instance
     start = StrategyProfile.uniform(inst.n_agents, inst.n_bids).weights * (1.0 + 5e-10)
-    config = SolverConfig(schedule=LearningSchedule.constant(0.01), max_iterations=10, check_interval=10,
+    config = SolverConfig(schedule="constant", coefficient=0.01, max_iterations=10, check_interval=10,
                           init=StrategyProfile(start))
     monkeypatch.setattr(fbauction.solver, "PROB_TOL", 1e-12)
     result = run(inst, config)
