@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import get_example, grid_to_spec, instance_to_dict, load_instance, random_instance
+from .instances import BUILTIN_EXAMPLES, get_example, grid_to_spec, instance_to_dict, load_instance, random_instance
 from .model import (
     AuctionInstance,
     BidGrid,
@@ -146,8 +146,12 @@ def _load(args, seed: int | None = None) -> tuple[str, dict, AuctionInstance, So
         identity = {"file": str(args.file), "sha256": hashlib.sha256(Path(args.file).read_bytes()).hexdigest()}
     elif args.example == "random":
         seed = args.seed if seed is None else seed
-        flag, value = ("--n-scenarios", args.n_scenarios) if args.n_scenarios < 1 else ("--n-agents", args.n_agents)
-        named = _flag_value(flag, value, lambda: random_instance(seed, args.n_agents, args.n_scenarios))
+        try:
+            named = random_instance(seed, args.n_agents, args.n_scenarios)
+        except ValueError as exc:
+            if not hasattr(exc, "argument"):  # not a size argument's error
+                raise
+            raise ValueError(f"--{exc.argument.replace('_', '-')} {getattr(args, exc.argument)}: {exc}") from None
         name, instance, config = named.name, named.instance, named.config
         identity = {"name": name, "seed": seed, "n_agents": args.n_agents, "n_scenarios": args.n_scenarios}
     else:
@@ -277,8 +281,8 @@ def cmd_show(args, loaded) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """A seed flag's value: a whole number >= 0, the seeds numpy's generator takes."""
+def _whole(text: str) -> int:
+    """A seed or seed-count flag's value: a whole number >= 0, the seeds numpy's generator takes."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
     return int(text)
@@ -286,10 +290,13 @@ def _seed(text: str) -> int:
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--example", choices=["1", "2", "3", "4", "5", "random"],
-                        help="bundled instance name")
+    source.add_argument("--example", choices=[*BUILTIN_EXAMPLES, "random"], help="bundled instance name")
     source.add_argument("--file", type=Path, help="instance JSON file")
-    parser.add_argument("--seed", type=_seed, default=0, help="seed for --example random")
+    parser.add_argument("--seed", type=_whole, default=0, help="seed for --example random")
+    _add_random_args(parser)
+
+
+def _add_random_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-agents", type=int, default=10, help="agent count for random instances")
     parser.add_argument("--n-scenarios", type=int, default=20, help="scenario count for random instances")
 
@@ -321,10 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(read=_load_with_strategies, func=cmd_verify)
 
     batch = sub.add_parser("batch", help="solve a range of random instances")
-    batch.add_argument("--seed-start", type=_seed, default=0)
-    batch.add_argument("--seed-count", type=int, default=10)
-    batch.add_argument("--n-agents", type=int, default=10)
-    batch.add_argument("--n-scenarios", type=int, default=20)
+    batch.add_argument("--seed-start", type=_whole, default=0)
+    batch.add_argument("--seed-count", type=_whole, default=10)
+    _add_random_args(batch)
     _add_override_args(batch)
     batch.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     batch.set_defaults(example="random", file=None, read=_load_seeds, func=cmd_batch)

@@ -64,6 +64,11 @@ def _recommended(max_iterations: int) -> SolverConfig:
     return SolverConfig(schedule="harmonic", coefficient=1.0, max_iterations=max_iterations)
 
 
+def _agent_form(values, member_sets, grid: BidGrid) -> AuctionInstance:
+    """The agent-form instance whose scenarios are ``member_sets``, each at equal probability."""
+    return AuctionInstance(values, tuple(Scenario(frozenset(m), 1.0 / len(member_sets)) for m in member_sets), grid)
+
+
 def example_1() -> NamedInstance:
     """Symmetric pair of bidders with values drawn uniformly from {0, 1}.
 
@@ -72,14 +77,7 @@ def example_1() -> NamedInstance:
     value-0 agents bid 0 and value-1 agents bid with CDF ``1/(1-b) - 1`` on
     [0, 1/2], where their payoff is flat at 0.5.
     """
-    scenarios = tuple(
-        Scenario(frozenset(m), 0.25) for m in [(0, 1), (2, 3), (0, 3), (1, 2)]
-    )
-    instance = AuctionInstance(
-        values=np.array([0.0, 0.0, 1.0, 1.0]),
-        scenarios=scenarios,
-        grid=BidGrid.uniform(1.0, 400),
-    )
+    instance = _agent_form([0.0, 0.0, 1.0, 1.0], [(0, 1), (2, 3), (0, 3), (1, 2)], BidGrid.uniform(1.0, 400))
     return NamedInstance("example-1", instance, _recommended(100_000), expected_epsilon=8e-5)
 
 
@@ -89,12 +87,7 @@ def example_2() -> NamedInstance:
     Two equiprobable scenarios (0, 1) and (1, 2): agent 1 always participates,
     agents 0 and 2 each half the time, and never against each other.
     """
-    scenarios = (Scenario(frozenset({0, 1}), 0.5), Scenario(frozenset({1, 2}), 0.5))
-    instance = AuctionInstance(
-        values=np.array([1.0 / 3.0, 2.0 / 3.0, 1.0]),
-        scenarios=scenarios,
-        grid=BidGrid.uniform(1.0, 600),
-    )
+    instance = _agent_form([1.0 / 3.0, 2.0 / 3.0, 1.0], [(0, 1), (1, 2)], BidGrid.uniform(1.0, 600))
     return NamedInstance("example-2", instance, _recommended(1_000_000), expected_epsilon=8.84e-4)
 
 
@@ -104,14 +97,7 @@ def example_3() -> NamedInstance:
     Four equiprobable scenarios: the three pairs among agents 0-2 plus the
     grand scenario with all four agents.
     """
-    scenarios = tuple(
-        Scenario(frozenset(m), 0.25) for m in [(0, 1), (1, 2), (0, 2), (0, 1, 2, 3)]
-    )
-    instance = AuctionInstance(
-        values=np.array([0.25, 0.5, 0.5, 1.0]),
-        scenarios=scenarios,
-        grid=BidGrid.uniform(1.0, 400),
-    )
+    instance = _agent_form([0.25, 0.5, 0.5, 1.0], [(0, 1), (1, 2), (0, 2), (0, 1, 2, 3)], BidGrid.uniform(1.0, 400))
     return NamedInstance("example-3", instance, _recommended(100_000), expected_epsilon=2.5e-3)
 
 
@@ -161,27 +147,27 @@ def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> Nam
     unordered pairs drawn uniformly (duplicates merge, summing probability).
     Agents that land in no pair are dropped, with a warning, since they could
     never bid. The same seed always produces the same instance.
+
+    A size out of range raises ``ValueError`` before any draw, ``n_scenarios`` first; its ``argument`` names the size.
     """
-    if n_scenarios < 1:  # first: the CLI blames --n-agents for every later error
-        raise ValueError("need at least one scenario")
-    if n_agents < 2:
-        raise ValueError("need at least two agents to form pairs")
     grid = BidGrid.uniform(1.0, 100)
-    if problem := _table_problem((n_agents, "agents"), (len(grid), "grid levels")):  # if every agent draws a pair
-        raise ValueError(problem)
+    for argument, problem in (
+        ("n_scenarios", "need at least one scenario" if n_scenarios < 1
+         else _table_problem((n_scenarios, "scenarios"), (2, "members"))),  # the drawn pairs
+        ("n_agents", "need at least two agents to form pairs" if n_agents < 2
+         else _table_problem((n_agents, "agents"), (len(grid), "grid levels"))),  # if every agent draws a pair
+    ):
+        if problem:
+            error = ValueError(problem)
+            error.argument = argument
+            raise error
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, size=n_agents)
-    prob = 1.0 / n_scenarios
-    pairs = [rng.choice(n_agents, size=2, replace=False) for _ in range(n_scenarios)]
-
-    covered = sorted({int(m) for pair in pairs for m in pair})
-    if len(covered) < n_agents:
-        warnings.warn(f"seed {seed}: {n_agents - len(covered)} of {n_agents} agents drew no scenario and were dropped")
-    relabel = {old: new for new, old in enumerate(covered)}
-    scenarios = tuple(
-        Scenario(frozenset(relabel[int(m)] for m in pair), prob) for pair in pairs
-    )
-    instance = AuctionInstance(values=values[covered], scenarios=scenarios, grid=grid)
+    pairs = np.array([rng.choice(n_agents, size=2, replace=False) for _ in range(n_scenarios)])
+    covered, members = np.unique(pairs, return_inverse=True)  # members: the pairs relabelled 0..covered.size-1
+    if covered.size < n_agents:
+        warnings.warn(f"seed {seed}: {n_agents - covered.size} of {n_agents} agents drew no scenario and were dropped")
+    instance = _agent_form(values[covered], members.reshape(pairs.shape).tolist(), grid)
     return NamedInstance(f"random-seed{seed}", instance, _recommended(1_000_000))
 
 
@@ -230,23 +216,30 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     :class:`InvalidInstanceError` when the instance is invalid and
     ``KeyError``/``TypeError``/``ValueError`` for structurally broken documents.
     """
-    grid_spec, rule_spec = data["grid"], data.get("rule", {})
+    grid_spec, rule_spec = _json(data["grid"], dict, "grid"), _json(data.get("rule", {}), dict, "rule")
     grid = BidGrid.uniform(_number(grid_spec["max"], "grid.max"), grid_spec["steps"])
-    if not isinstance(rule_spec, dict):
-        raise TypeError(f"rule must be an object, got {rule_spec!r}")
     rule = PaymentRule(_number(rule_spec.get("alpha", 1.0), "rule.alpha"))
 
     if "players" in data:
-        value_sets = tuple(p["values"] for p in data["players"])
+        specs = [_json(p, dict, f"players[{i}]") for i, p in enumerate(_json(data["players"], list, "players"))]
+        value_sets = tuple(p["values"] for p in specs)
         if "joint" in data:
             players = PlayerAuction(value_sets, data["joint"])
         else:
-            players = PlayerAuction.independent(value_sets, [p["probs"] for p in data["players"]])
+            players = PlayerAuction.independent(value_sets, [p["probs"] for p in specs])
         values, scenarios, _partition = convert_player_to_agent(players)
         return AuctionInstance(values, scenarios, grid, rule)
-    scenarios = tuple(Scenario(frozenset(s["members"]), _number(s["prob"], f"scenarios[{i}].prob"))
-                      for i, s in enumerate(data["scenarios"]))
+    specs = [_json(s, dict, f"scenarios[{i}]") for i, s in enumerate(_json(data["scenarios"], list, "scenarios"))]
+    scenarios = tuple(Scenario(frozenset(_json(s["members"], list, f"scenarios[{i}].members")),
+                               _number(s["prob"], f"scenarios[{i}].prob")) for i, s in enumerate(specs))
     return AuctionInstance(data["values"], scenarios, grid, rule)
+
+
+def _json(x, kind: type, what: str):
+    """``x``, or a ``TypeError`` naming ``what`` unless it is a ``kind``: ``dict`` (an object) or ``list``."""
+    if not isinstance(x, kind):
+        raise TypeError(f"{what} must be {'an object' if kind is dict else 'a list'}, got {x!r}")
+    return x
 
 
 def load_instance(path: str | Path) -> AuctionInstance:

@@ -104,7 +104,7 @@ class BidGrid:
     bids: np.ndarray
 
     def __post_init__(self):
-        bids = np.atleast_1d(np.asarray(self.bids, dtype=np.float64))
+        bids = np.atleast_1d(np.asarray(_numbers(self.bids, "bid levels"), dtype=np.float64))
         if bids.ndim != 1 or bids.size < 2:
             raise ValueError("bid grid needs at least two levels")
         if bids[0] != 0.0:

@@ -383,6 +383,22 @@ def test_solve_oversized_random_instance_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "batch"])
+def test_oversized_scenario_count_exits_2_naming_its_flag(tmp_path, capsys, monkeypatch, command):
+    # 2 agents x 101 grid levels and 101 pairs of 2 members fit a 202-cell limit, 102 pairs do not;
+    # the count is refused before any draw
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 202)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("a generator was made"))
+    source = ["--example", "random"] if command == "solve" else []
+    out = tmp_path / "out"
+    assert main([command, *source, "--n-agents", "2", "--n-scenarios", "102", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["invalid input: --n-scenarios 102: "
+                                         "102 scenarios x 2 members exceed the 202-cell table limit"]
+    assert not out.exists()
+
+
 def test_solve_unreadable_file_exits_1(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
@@ -399,6 +415,19 @@ def test_solve_unreadable_file_exits_1(tmp_path, capsys):
         assert main(["solve", "--file", str(partial), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: cannot read input: rule must be an object, got {rule!r}"]
+    # every structural field is named by its path when it has the wrong JSON type
+    players = {"players": [{"values": [0.1], "probs": [1.0]}], "grid": _PAIR["grid"]}
+    for doc, message in [
+        ({**_PAIR, "grid": 5}, "grid must be an object, got 5"),
+        ({**_PAIR, "scenarios": [5]}, "scenarios[0] must be an object, got 5"),
+        ({**_PAIR, "scenarios": {"a": 1}}, "scenarios must be a list, got {'a': 1}"),
+        ({**_PAIR, "scenarios": [{"members": 5, "prob": 1.0}]}, "scenarios[0].members must be a list, got 5"),
+        ({**players, "players": 5}, "players must be a list, got 5"),
+        ({**players, "players": [5]}, "players[0] must be an object, got 5"),
+    ]:
+        partial.write_text(json.dumps(doc))
+        assert main(["solve", "--file", str(partial), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot read input: {message}"]
     assert not (tmp_path / "out").exists()
 
 
@@ -477,6 +506,7 @@ def test_batch_bad_flag_exits_2_before_any_seed(tmp_path, capsys, flags, message
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(["solve", "--example", "random", "--seed", "-1"], "--seed", id="solve"),
     pytest.param(["batch", "--seed-start", "-3"], "--seed-start", id="batch"),
+    pytest.param(["batch", "--seed-count", "-2"], "--seed-count", id="batch-count"),
 ])
 def test_negative_seed_exits_2_naming_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.setattr(fb_cli, "random_instance", lambda *a, **k: pytest.fail("an instance was drawn"))

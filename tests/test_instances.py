@@ -180,9 +180,15 @@ def test_random_instance_reports_dropped_agents_by_count():
 
 def test_random_instance_rejects_oversized_table_before_drawing(monkeypatch):
     monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 10 * 101 - 1)
-    with pytest.raises(ValueError, match="^10 agents x 101 grid levels exceed the 1009-cell table limit$"):
+    with pytest.raises(ValueError, match="^10 agents x 101 grid levels exceed the 1009-cell table limit$") as raised:
         random_instance(0, n_agents=10)
+    assert raised.value.argument == "n_agents"
     assert random_instance(0, n_agents=9).instance.n_bids == 101
+    # the pair table is bounded too, and the scenario count is checked first
+    with pytest.raises(ValueError, match="^505 scenarios x 2 members exceed the 1009-cell table limit$") as raised:
+        random_instance(0, n_agents=10, n_scenarios=505)
+    assert raised.value.argument == "n_scenarios"
+    assert len(random_instance(0, n_agents=9, n_scenarios=504).instance.scenarios) <= 504
 
 
 def test_player_file_rejects_too_many_value_profiles_before_converting(monkeypatch):

@@ -62,11 +62,15 @@ def test_validate_reports_oversized_table(monkeypatch):
 
 @pytest.mark.parametrize(
     "bids",
-    [[0.0], [0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]],
+    [[0.0], [0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+     [False, True], ["0", "0.5", "1"]],
 )
 def test_bid_grid_rejects_bad_levels(bids):
     with pytest.raises(ValueError):
         BidGrid(np.array(bids))
+    if not isinstance(bids[0], float):  # a level is a number, as in every other array field
+        with pytest.raises(ValueError, match=f"^bid levels\\[0\\] must be a number, got {re.escape(repr(bids[0]))}$"):
+            BidGrid(bids)
 
 
 def test_scenario_invariants():
