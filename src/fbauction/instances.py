@@ -216,23 +216,29 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     :class:`InvalidInstanceError` when the instance is invalid and
     ``KeyError``/``TypeError``/``ValueError`` for structurally broken documents.
     """
-    grid_spec, rule_spec = _json(data["grid"], dict, "grid"), _json(data.get("rule", {}), dict, "rule")
-    grid = BidGrid.uniform(_number(grid_spec["max"], "grid.max"), grid_spec["steps"])
+    data = _json(data, dict, "instance")
+    grid_spec = _json(_field(data, "grid", "instance"), dict, "grid")
+    rule_spec = _json(data.get("rule", {}), dict, "rule")
+    grid = BidGrid.uniform(_number(_field(grid_spec, "max", "grid"), "grid.max"), _field(grid_spec, "steps", "grid"))
     rule = PaymentRule(_number(rule_spec.get("alpha", 1.0), "rule.alpha"))
 
     if "players" in data:
         specs = [_json(p, dict, f"players[{i}]") for i, p in enumerate(_json(data["players"], list, "players"))]
-        value_sets = tuple(p["values"] for p in specs)
+        value_sets = tuple(_field(p, "values", f"players[{i}]") for i, p in enumerate(specs))
         if "joint" in data:
             players = PlayerAuction(value_sets, data["joint"])
         else:
-            players = PlayerAuction.independent(value_sets, [p["probs"] for p in specs])
+            players = PlayerAuction.independent(value_sets, [_field(p, "probs", f"players[{i}]")
+                                                             for i, p in enumerate(specs)])
         values, scenarios, _partition = convert_player_to_agent(players)
         return AuctionInstance(values, scenarios, grid, rule)
-    specs = [_json(s, dict, f"scenarios[{i}]") for i, s in enumerate(_json(data["scenarios"], list, "scenarios"))]
-    scenarios = tuple(Scenario(frozenset(_json(s["members"], list, f"scenarios[{i}].members")),
-                               _number(s["prob"], f"scenarios[{i}].prob")) for i, s in enumerate(specs))
-    return AuctionInstance(data["values"], scenarios, grid, rule)
+    scenarios = []
+    for i, s in enumerate(_json(_field(data, "scenarios", "instance"), list, "scenarios")):
+        where = f"scenarios[{i}]"
+        s = _json(s, dict, where)
+        scenarios.append(Scenario(frozenset(_json(_field(s, "members", where), list, f"{where}.members")),
+                                  _number(_field(s, "prob", where), f"{where}.prob")))
+    return AuctionInstance(_field(data, "values", "instance"), tuple(scenarios), grid, rule)
 
 
 def _json(x, kind: type, what: str):
@@ -240,6 +246,20 @@ def _json(x, kind: type, what: str):
     if not isinstance(x, kind):
         raise TypeError(f"{what} must be {'an object' if kind is dict else 'a list'}, got {x!r}")
     return x
+
+
+class _MissingField(KeyError):
+    """A ``KeyError`` whose text is its message, unquoted."""
+
+    __str__ = Exception.__str__
+
+
+def _field(spec: dict, key: str, what: str):
+    """``spec[key]``, or a ``KeyError`` naming the object ``what`` and the missing ``key``."""
+    try:
+        return spec[key]
+    except KeyError:
+        raise _MissingField(f"{what} has no {key!r}") from None
 
 
 def load_instance(path: str | Path) -> AuctionInstance:

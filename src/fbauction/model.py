@@ -170,7 +170,8 @@ class AuctionInstance:
 
     Scenarios are canonicalized on construction: entries with identical member
     sets are merged by summing probability, zero-probability entries are
-    dropped, and the remainder is sorted by member tuple. The canonical
+    dropped, and the remainder is sorted by member tuple. A :class:`Scenario`
+    whose member set occurs once is kept as given. The canonical
     instance is then checked by :func:`validate_instance`, and any problem
     raises :class:`InvalidInstanceError`, so every instance is usable.
     """
@@ -186,10 +187,12 @@ class AuctionInstance:
             raise ValueError("values must be a non-empty 1-d vector")
         object.__setattr__(self, "values", _readonly(values))
         merged: dict[frozenset[int], float] = {}
+        given: dict[frozenset[int], Scenario | None] = {}  # the Scenario to keep, when its member set occurs once
         for s in self.scenarios:
             merged[s.members] = merged.get(s.members, 0.0) + s.prob
+            given[s.members] = None if s.members in given or not isinstance(s, Scenario) else s
         canon = tuple(
-            Scenario(members, prob)
+            given[members] or Scenario(members, prob)
             for members, prob in sorted(merged.items(), key=lambda kv: tuple(sorted(kv[0])))
             if prob != 0.0
         )

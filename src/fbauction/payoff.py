@@ -13,15 +13,18 @@ the winning event. A scenario without rivals always wins and pays
 ``alpha * b``.
 
 Everything is evaluated in closed form from the rivals' strict CDFs,
-``P(M < b)`` once per distinct rival set, so :meth:`PayoffEngine.curves`
-takes a profile as its strict-CDF table: the solver carries that table from
-iteration to iteration, other callers build it with ``cdf_table``. The
-matrix product that mixes the rival sets sums in an order the BLAS library
-picks; the tests check the same CSV bytes with 1 and 2 BLAS threads on one
-machine, not across BLAS builds.
+``P(M < b)`` once per distinct rival set, or once per player when the
+scenario distribution is a product over independent players, so
+:meth:`PayoffEngine.curves` takes a profile as its strict-CDF table: the
+solver carries that table from iteration to iteration, other callers build
+it with ``cdf_table``. The matrix products that mix the rival sets (and the
+players' agents) sum in an order the BLAS library picks; the tests check the
+same CSV bytes with 1 and 2 BLAS threads on one machine, not across BLAS
+builds.
 """
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -51,6 +54,47 @@ def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable
     return ConditionalScenarioTable(map(tuple, rows))
 
 
+def _player_labels(instance: AuctionInstance, mass: np.ndarray) -> np.ndarray | None:
+    """Each agent's player when the scenario distribution is a product over players, else None.
+
+    The distribution is such a product when every scenario holds P agents,
+    one from each of P classes that never share a scenario; the scenarios
+    number the product of the class sizes, so every combination occurs once;
+    and every probability equals the product of its members' participation
+    probabilities ``mass`` to a relative ``P * (S + 2P)`` machine epsilons,
+    S the scenario count. That is the rounding of the P-fold product and of
+    a participation probability, a sum of at most S products of P factors;
+    a correlated joint differs by far more. The players are numbered as the
+    first scenario's members.
+    """
+    size = len(instance.scenarios[0].members)
+    if any(len(s.members) != size for s in instance.scenarios):
+        return None
+    members = np.array([sorted(s.members) for s in instance.scenarios])
+    # the players, read off the first scenario: a scenario that differs from
+    # it in one agent swaps in another agent of the same player, and in a
+    # product every agent outside the first scenario is swapped in once
+    first = members[0]
+    inside = np.isin(members, first)
+    near = inside.sum(axis=1) == size - 1
+    position = np.searchsorted(first, members[near])  # position in the first scenario, for the shared agents
+    swapped_out = size * (size - 1) // 2 - (position * inside[near]).sum(axis=1)
+    swapped_in = members[near][~inside[near]]
+    labels = np.full(instance.n_agents, -1)
+    labels[first] = np.arange(size)
+    labels[swapped_in] = swapped_out
+    if (swapped_in.size != instance.n_agents - size
+            or labels.min() < 0
+            or not (np.sort(labels[members], axis=1) == np.arange(size)).all()
+            or math.prod(np.bincount(labels).tolist()) != len(instance.scenarios)):
+        return None
+    probs = np.array([s.prob for s in instance.scenarios])
+    product = mass[members].prod(axis=1)
+    if not (np.abs(probs - product) <= size * (probs.size + 2 * size) * np.finfo(float).eps * product).all():
+        return None
+    return labels
+
+
 class PayoffEngine:
     """Vectorized payoff-curve evaluator bound to one auction instance.
 
@@ -61,10 +105,21 @@ class PayoffEngine:
     matrix product. When no scenario has more than one rival the sets are
     the CDF rows themselves (column ``n_agents`` is the all-ones row of a
     rival-free scenario), and nothing is gathered or multiplied.
+
+    When some scenario has two or more rivals and the scenario distribution
+    is a product over players (see :func:`_player_labels`), the columns are
+    the players instead: ``curves`` first mixes each player's agents' CDFs,
+    weighted by their participation probabilities normalized within the
+    player, into ``P(player bids below b)``, multiplies the other players'
+    mixtures per player, and ``qmat[a, p]`` is 1 when agent ``a`` is player
+    ``p``'s. That avoids one column per combination of the other players'
+    values; every other instance keeps its rival sets.
+
     ``n_groups`` counts the distinct conditional structures (rival sets and
     their probabilities) among the agents; ``dedup`` is accepted for
     compatibility and ignored. A ``qmat`` or workspace block (2 x rival sets
-    x levels) above the table limit raises :class:`InvalidInstanceError`.
+    x levels, or 3 x players x levels) above the table limit raises
+    :class:`InvalidInstanceError`.
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
@@ -83,32 +138,48 @@ class PayoffEngine:
         self._instance = weakref.ref(instance)
         n = instance.n_agents
         bids = instance.grid.bids
+        mass = participation_probabilities(instance)
         rows = [tuple((tuple(sorted(s.members - {a})), q) for s, q in items)
                 for a, items in enumerate(conditional_scenarios(instance))]
-        column: dict[tuple[int, ...], int] = {}  # rival set -> column, by first appearance
-        for items in rows:
-            for rivals, _q in items:
-                column.setdefault(rivals, len(column))
-        max_rivals = max(map(len, column), default=0)
-        if max_rivals <= 1:
-            slots: tuple[np.ndarray, ...] = ()
-            column = {rivals: rivals[0] if rivals else n for rivals in column}
-            n_columns = n + 1
+        labels = _player_labels(instance, mass) if max(len(s.members) for s in instance.scenarios) > 2 else None
+        mixing = None
+        if labels is not None:
+            # the columns are the players: slot j of player p is p's j-th other player
+            n_columns, name = int(labels.max()) + 1, "players"
+            others = [[q for q in range(n_columns) if q != p] for p in range(n_columns)]
+            slots: tuple[np.ndarray, ...] = tuple(np.array(slot, dtype=np.intp) for slot in zip(*others))
+            mixing = np.zeros((n_columns, n + 1))
+            mixing[labels, np.arange(n)] = mass / np.bincount(labels, weights=mass)[labels]
         else:
-            # rival slot n points at the all-ones row, so padded slots and
-            # rival-free scenarios contribute a neutral factor to the products
-            padded = [rivals + (n,) * (max_rivals - len(rivals)) for rivals in column]  # in column order
-            slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
-            n_columns = len(column)
-        problem = _table_problem((n, "agents"), (n_columns, "rival sets"))
-        if slots and not problem:  # the workspace's one block of set products and gathered rows
-            problem = _table_problem((2, "product buffers"), (n_columns, "rival sets"), (bids.size + 1, "levels"))
+            name = "rival sets"
+            column: dict[tuple[int, ...], int] = {}  # rival set -> column, by first appearance
+            for items in rows:
+                for rivals, _q in items:
+                    column.setdefault(rivals, len(column))
+            max_rivals = max(map(len, column), default=0)
+            if max_rivals <= 1:
+                slots = ()
+                column = {rivals: rivals[0] if rivals else n for rivals in column}
+                n_columns = n + 1
+            else:
+                # rival slot n points at the all-ones row, so padded slots and
+                # rival-free scenarios contribute a neutral factor to the products
+                padded = [rivals + (n,) * (max_rivals - len(rivals)) for rivals in column]  # in column order
+                slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
+                n_columns = len(column)
+        problem = _table_problem((n, "agents"), (n_columns, name))
+        if slots and not problem:  # the workspace's one block of products, gathered rows and mixtures
+            problem = _table_problem((2 if mixing is None else 3, "product buffers"), (n_columns, name),
+                                     (bids.size + 1, "levels"))
         if problem:
             raise InvalidInstanceError([problem])
         qmat = np.zeros((n, n_columns))
-        for a, items in enumerate(rows):
-            for rivals, q in items:
-                qmat[a, column[rivals]] = q
+        if labels is not None:
+            qmat[np.arange(n), labels] = 1.0
+        else:
+            for a, items in enumerate(rows):
+                for rivals, q in items:
+                    qmat[a, column[rivals]] = q
 
         self._n = n
         self._n_bids = bids.size
@@ -117,6 +188,7 @@ class PayoffEngine:
         self._use_mixture = self._alpha < 1.0
         self._bids = bids
         self._slots = slots
+        self._mixing = mixing
         self._qmat = qmat
         self._value_margin = instance.values[:, None] - self._alpha * bids[None, :]
         self.n_groups = len(set(rows))
@@ -147,7 +219,8 @@ class PayoffEngine:
 
         ``win`` is (n_agents, n_bids + 1) and ``curves`` (n_agents, n_bids);
         ``sets`` and ``gathered``, (rival sets, n_bids + 1), exist only when
-        some scenario has two or more rivals.
+        some scenario has two or more rivals. On instances that factor into
+        players they are (players, n_bids + 1), and so is ``mixed``.
         """
         n, levels = self._n, self._n_bids + 1
         work = {"win": np.empty((n, levels)), "curves": np.empty((n, levels - 1))}
@@ -155,7 +228,8 @@ class PayoffEngine:
             # one block: freeing two equal blocks trips glibc's adaptive trim
             # threshold, so a fresh workspace per call faulted its pages in
             # anew every time, which made certify 2.5x slower at 500 rival sets
-            work["sets"], work["gathered"] = np.empty((2, self._slots[0].size, levels))
+            names = ("sets", "gathered") if self._mixing is None else ("sets", "gathered", "mixed")
+            work.update(zip(names, np.empty((len(names), self._slots[0].size, levels))))
         return work
 
     def curves(self, below: np.ndarray, work: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -172,12 +246,15 @@ class PayoffEngine:
         if not self._slots:
             set_win = below                           # one rival: its CDF row is the set's
         else:
+            factors = below
+            if self._mixing is not None:              # P(player bids below level), per player
+                factors = np.matmul(self._mixing, below, out=work["mixed"])
             # P(top rival < level), per set: multiplied slot by slot, the order
             # of prod(axis=1); mode="clip" lets take write into out unbuffered
             set_win, gathered = work["sets"], work["gathered"]
-            np.take(below, self._slots[0], axis=0, out=set_win, mode="clip")
+            np.take(factors, self._slots[0], axis=0, out=set_win, mode="clip")
             for slot in self._slots[1:]:
-                np.take(below, slot, axis=0, out=gathered, mode="clip")
+                np.take(factors, slot, axis=0, out=gathered, mode="clip")
                 set_win *= gathered
         win = np.matmul(self._qmat, set_win, out=work["win"])  # conditional mixture, per agent
         curves = np.multiply(self._value_margin, win[:, :-1], out=work["curves"])

@@ -64,21 +64,30 @@ def brute_force_curves(profile: StrategyProfile, instance: AuctionInstance, max_
 def gathered_curves(engine: PayoffEngine, instance: AuctionInstance, below: np.ndarray) -> np.ndarray:
     """Reference for ``PayoffEngine.curves`` on the engine's aggregation and
     margin tables, with the rival sets' CDF products formed by one gather,
-    ``below[set_members].prod(axis=1)``, in place of slot by slot.
+    ``rows[set_members].prod(axis=1)``, in place of slot by slot.
 
-    ``set_members`` is rebuilt from the instance: the rival sets in order of
-    first appearance (the engine's column order), each ascending and padded
-    with row ``n_agents``, the all-ones row.
+    When the engine factors the instance into players (its ``_mixing`` is
+    set), ``rows`` are the player mixtures ``_mixing @ below`` and each
+    player's set is every other player in ascending order; otherwise
+    ``rows`` is ``below`` and ``set_members`` is rebuilt from the instance:
+    the rival sets in order of first appearance (the engine's column order),
+    each ascending and padded with row ``n_agents``, the all-ones row.
     """
     n = instance.n_agents
-    sets = {tuple(sorted(s.members - {a})): None for a, items in enumerate(conditional_scenarios(instance))
-            for s, _q in items}
-    width = max(map(len, sets))
-    if width > 1:
-        set_members = np.array([rivals + (n,) * (width - len(rivals)) for rivals in sets])
-        set_win = below[set_members].prod(axis=1)
+    if engine._mixing is not None:
+        rows = engine._mixing @ below
+        n_players = rows.shape[0]
+        set_members = np.array([[q for q in range(n_players) if q != p] for p in range(n_players)])
+        set_win = rows[set_members].prod(axis=1)
     else:
-        set_win = below
+        sets = {tuple(sorted(s.members - {a})): None for a, items in enumerate(conditional_scenarios(instance))
+                for s, _q in items}
+        width = max(map(len, sets))
+        if width > 1:
+            set_members = np.array([rivals + (n,) * (width - len(rivals)) for rivals in sets])
+            set_win = below[set_members].prod(axis=1)
+        else:
+            set_win = below
     win = engine._qmat @ set_win
     curves = engine._value_margin * win[:, :-1]
     if engine._use_mixture:

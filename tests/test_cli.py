@@ -346,14 +346,29 @@ def test_solve_oversized_aggregation_matrix_exits_2(tmp_path, capsys, monkeypatc
 
 
 def test_solve_oversized_rival_product_block_exits_2(tmp_path, capsys, monkeypatch):
-    # example 4's engine multiplies its rivals in a block of 2 x 27 rival sets x 402 levels
-    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 20_000)
+    # example 3's engine multiplies its rivals in a block of 2 x 7 rival sets x 402 levels
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 2_000)
     out = tmp_path / "out"
-    assert main(["solve", "--example", "4", "--out", str(out)]) == 2
+    assert main(["solve", "--example", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["invalid instance: 2 product buffers x 27 rival sets x 402 levels "
-                                "exceed the 20000-cell table limit"]
+    assert err.splitlines() == ["invalid instance: 2 product buffers x 7 rival sets x 402 levels "
+                                "exceed the 2000-cell table limit"]
     assert not out.exists()
+
+
+def test_solve_independent_players_without_their_rival_sets(tmp_path, capsys, monkeypatch):
+    # 5 independent players x 6 values: 30 agents, 7776 scenarios. As rival
+    # sets the engine would need a 2 x 6480 x 402 = 5.2 M-cell product block;
+    # mixed per player it needs 3 x 5 players x 402 levels
+    doc = {"players": [{"values": (np.arange(1, 7) / 6).tolist(), "probs": [1 / 6] * 6}] * 5,
+           "grid": {"max": 1.0, "steps": 400}}
+    path = tmp_path / "players.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 5_000_000)
+    out = tmp_path / "out"
+    assert main(["solve", "--file", str(path), "--max-iters", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "manifest.json").read_text())["iterations_run"] == 20
 
 
 def test_solve_player_file_with_too_many_value_profiles_exits_2(tmp_path, capsys, monkeypatch):
@@ -424,6 +439,17 @@ def test_solve_unreadable_file_exits_1(tmp_path, capsys):
         ({**_PAIR, "scenarios": [{"members": 5, "prob": 1.0}]}, "scenarios[0].members must be a list, got 5"),
         ({**players, "players": 5}, "players must be a list, got 5"),
         ({**players, "players": [5]}, "players[0] must be an object, got 5"),
+        ([1], "instance must be an object, got [1]"),
+        # a missing field is named with the object that lacks it
+        ({key: _PAIR[key] for key in ("values", "scenarios")}, "instance has no 'grid'"),
+        ({**_PAIR, "grid": {"steps": 4}}, "grid has no 'max'"),
+        ({**_PAIR, "grid": {"max": 1.0}}, "grid has no 'steps'"),
+        ({key: _PAIR[key] for key in ("values", "grid")}, "instance has no 'scenarios'"),
+        ({key: _PAIR[key] for key in ("scenarios", "grid")}, "instance has no 'values'"),
+        ({**_PAIR, "scenarios": [{"prob": 1.0}]}, "scenarios[0] has no 'members'"),
+        ({**_PAIR, "scenarios": [{"members": [0, 1]}]}, "scenarios[0] has no 'prob'"),
+        ({**players, "players": [{"values": [0.1]}]}, "players[0] has no 'probs'"),
+        ({**players, "players": [{"probs": [1.0]}]}, "players[0] has no 'values'"),
     ]:
         partial.write_text(json.dumps(doc))
         assert main(["solve", "--file", str(partial), "--out", str(tmp_path / "out")]) == 1

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_scenarios_canonicalized():
     assert [s.prob for s in inst.scenarios] == [0.5, 0.5]
     # agent 2's only positive-probability scenario survived the zero drop
     assert validate_instance(inst) == []
+
+
+def test_instance_keeps_a_scenario_whose_member_set_occurs_once():
+    once = Scenario(frozenset({0, 1}), 0.5)
+    twice = (Scenario(frozenset({1, 2}), 0.125), Scenario(frozenset({1, 2}), 0.125))
+    entry = SimpleNamespace(members=frozenset({0, 2}), prob=0.25)  # not a Scenario, so rebuilt as one
+    inst = AuctionInstance(np.array([0.5, 0.5, 0.5]), (twice[0], entry, once, twice[1]), BidGrid.uniform(1.0, 4))
+    kept, rebuilt, merged = inst.scenarios
+    assert kept is once
+    assert type(rebuilt) is Scenario and rebuilt == Scenario(frozenset({0, 2}), 0.25)
+    assert all(merged is not s for s in twice) and merged == Scenario(frozenset({1, 2}), 0.25)
 
 
 def test_validate_reports_probability_sum():

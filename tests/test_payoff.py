@@ -27,6 +27,7 @@ from fbauction import (
     conditional_scenarios,
     convert_player_to_agent,
     example_1,
+    example_3,
     example_4,
     get_example,
     participation_probabilities,
@@ -100,25 +101,88 @@ def test_engine_rejects_an_aggregation_matrix_above_the_table_limit(monkeypatch)
 
 
 def test_engine_rejects_a_rival_product_block_above_the_table_limit(monkeypatch):
-    # example 4's workspace block is 2 x 27 rival sets x 402 levels = 21708 cells;
-    # its qmat (243 cells) and agents x levels table (3609) fit the limit
-    inst = example_4().instance
-    for limit in (20_000, 2 * 27 * 402 - 1):
+    # example 3's scenarios differ in size, so it does not factor into players:
+    # its workspace block is 2 x 7 rival sets x 402 levels = 5628 cells; its
+    # qmat (28 cells) and agents x levels table (1604) fit the limit
+    inst = example_3().instance
+    for limit in (2_000, 2 * 7 * 402 - 1):
         monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", limit)
         with pytest.raises(InvalidInstanceError) as raised:
             PayoffEngine(inst)
-        assert raised.value.problems == [f"2 product buffers x 27 rival sets x 402 levels exceed the {limit}-cell table limit"]
-    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 2 * 27 * 402)
-    assert PayoffEngine(inst).workspace()["sets"].shape == (27, 402)
+        assert raised.value.problems == [f"2 product buffers x 7 rival sets x 402 levels exceed the {limit}-cell table limit"]
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 2 * 7 * 402)
+    assert PayoffEngine(inst).workspace()["sets"].shape == (7, 402)
+
+
+def _five_by_six_joint(zero_cell: bool) -> np.ndarray:
+    joint = np.ones((6,) * 5)
+    if zero_cell:
+        joint[1, 2, 3, 4, 5] = 0.0
+    return joint / joint.sum()
 
 
 def test_engine_accepts_rival_sets_whose_product_block_fits():
-    # 5 independent players x 6 values: 30 agents, 7776 scenarios, 6480 rival
-    # sets of 4 rivals; the product block is 2 x 6480 x 402 = 5.2 M cells
-    players = PlayerAuction.independent([np.arange(1, 7) / 6] * 5, [np.full(6, 1 / 6)] * 5)
+    # 5 players x 6 values with one value profile missing, so the players are
+    # not independent: 30 agents, 7775 scenarios, 6480 rival sets of 4
+    # rivals; the product block is 2 x 6480 x 402 = 5.2 M cells
+    players = PlayerAuction((np.arange(1, 7) / 6,) * 5, _five_by_six_joint(zero_cell=True))
     values, scenarios, _partition = convert_player_to_agent(players)
     engine = PayoffEngine(AuctionInstance(values, scenarios, BidGrid.uniform(1.0, 400)))
+    assert engine._mixing is None
     assert [slot.size for slot in engine._slots] == [6480] * 4
+
+
+def _converted(players: PlayerAuction, steps: int = 20) -> AuctionInstance:
+    values, scenarios, _partition = convert_player_to_agent(players)
+    return AuctionInstance(values, scenarios, BidGrid.uniform(1.0, steps))
+
+
+def _random_independent_players(seed: int, n_players: int, n_values: int) -> PlayerAuction:
+    rng = np.random.default_rng(seed)
+    marginals = rng.uniform(0.5, 1.5, size=(n_players, n_values))
+    return PlayerAuction.independent([np.arange(1, n_values + 1) / n_values] * n_players,
+                                     marginals / marginals.sum(axis=1, keepdims=True))
+
+
+def _correlated_joint(zero_cell: bool) -> PlayerAuction:
+    joint = np.random.default_rng(7).uniform(0.5, 1.5, size=(2, 3, 2))
+    if zero_cell:
+        joint[1, 2, 0] = 0.0
+    return PlayerAuction(([0.2, 0.6], [0.3, 0.5, 0.9], [0.4, 0.8]), joint / joint.sum())
+
+
+_FACTORED = {
+    "example-4": lambda: example_4().instance,
+    **{f"independent-{p}x{v}": lambda p=p, v=v: _converted(_random_independent_players(p, p, v))
+       for p, v in ((3, 2), (4, 3), (5, 3))},
+    "players-4x5": lambda: _converted(_random_independent_players(0, 4, 5), steps=400),
+    "independent-5x6": lambda: _converted(PlayerAuction((np.arange(1, 7) / 6,) * 5, _five_by_six_joint(False))),
+}
+_NOT_FACTORED = {
+    **{f"example-{n}": lambda n=n: get_example(n).instance for n in "1235"},
+    "correlated-joint": lambda: _converted(_correlated_joint(zero_cell=False)),
+    "joint-with-a-zero-cell": lambda: _converted(_correlated_joint(zero_cell=True)),
+}
+
+
+@pytest.mark.parametrize("build", _FACTORED.values(), ids=_FACTORED.keys())
+def test_engine_factors_independent_players(build):
+    # one column per player: each agent's column is its player's, and the
+    # mixing rows give each player's agents their conditional weights
+    inst = build()
+    engine = PayoffEngine(inst)
+    n_players = len(inst.scenarios[0].members)
+    assert engine._mixing is not None
+    assert engine._qmat.shape == (inst.n_agents, n_players)
+    assert np.array_equal(engine._qmat.sum(axis=1), np.ones(inst.n_agents))
+    assert engine._mixing.sum(axis=1) == pytest.approx(np.ones(n_players), abs=1e-14)
+    assert [slot.size for slot in engine._slots] == [n_players] * (n_players - 1)
+
+
+@pytest.mark.parametrize("build", _NOT_FACTORED.values(), ids=_NOT_FACTORED.keys())
+def test_engine_keeps_the_rival_sets_of_instances_that_do_not_factor(build):
+    engine = PayoffEngine(build())
+    assert engine._mixing is None
 
 
 def test_curves_rejects_a_weight_matrix():
@@ -184,8 +248,7 @@ def converted_player_cases(draw):
                  for vs in value_sets]
     values, scenarios, _partition = convert_player_to_agent(
         PlayerAuction.independent(value_sets, [m / m.sum() for m in marginals]))
-    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    inst = AuctionInstance(values, scenarios, BidGrid.uniform(1.0, draw(st.integers(2, 3))), PaymentRule(alpha))
+    inst = AuctionInstance(values, scenarios, BidGrid.uniform(1.0, draw(st.integers(2, 3))))
     n, nb = inst.n_agents, inst.n_bids
     w = np.zeros((n, nb))
     for a in range(n):
@@ -200,10 +263,14 @@ def converted_player_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(converted_player_cases())
 def test_engine_matches_brute_force_on_converted_player_auctions(case):
+    # the players are independent, so the engine mixes each player's agents
     inst, profile = case
-    engine = PayoffEngine(inst)
-    curves = engine.curves(engine.cdf_table(profile.weights))
-    assert curves == pytest.approx(brute_force_curves(profile, inst), abs=1e-12)
+    for alpha in (1.0, 0.5, 0.0):
+        inst = _at_alpha(inst, alpha)
+        engine = PayoffEngine(inst)
+        assert engine._mixing is not None
+        curves = engine.curves(engine.cdf_table(profile.weights))
+        assert curves == pytest.approx(brute_force_curves(profile, inst), abs=1e-12)
 
 
 def _at_alpha(instance, alpha):
