@@ -236,8 +236,10 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     for i, s in enumerate(_json(_field(data, "scenarios", "instance"), list, "scenarios")):
         where = f"scenarios[{i}]"
         s = _json(s, dict, where)
-        scenarios.append(Scenario(frozenset(_json(_field(s, "members", where), list, f"{where}.members")),
-                                  _number(_field(s, "prob", where), f"{where}.prob")))
+        members = _json(_field(s, "members", where), list, f"{where}.members")
+        scenarios.append(Scenario(frozenset(members), _number(_field(s, "prob", where), f"{where}.prob")))
+        if len(scenarios[-1].members) < len(members):  # the set hides a repeated agent
+            raise ValueError(f"{where}.members repeats agent {max(scenarios[-1].members, key=members.count)}")
     return AuctionInstance(_field(data, "values", "instance"), tuple(scenarios), grid, rule)
 
 

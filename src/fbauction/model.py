@@ -338,7 +338,7 @@ class PlayerAuction:
         object.__setattr__(self, "joint", joint)
 
     @classmethod
-    def independent(cls, value_sets: Sequence[Sequence[float]], marginals: Sequence[Sequence[float]]) -> "PlayerAuction":
+    def independent(cls, value_sets: Sequence[Sequence[float]], marginals: Sequence[Sequence[float]]) -> PlayerAuction:
         """Build the joint table as the product of per-player marginals."""
         if len(value_sets) != len(marginals):
             raise ValueError("need one marginal per player")

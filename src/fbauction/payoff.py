@@ -24,7 +24,6 @@ builds.
 """
 from __future__ import annotations
 
-import math
 import weakref
 
 import numpy as np
@@ -54,40 +53,27 @@ def conditional_scenarios(instance: AuctionInstance) -> ConditionalScenarioTable
     return ConditionalScenarioTable(map(tuple, rows))
 
 
-def _player_labels(instance: AuctionInstance, mass: np.ndarray) -> np.ndarray | None:
+def _player_labels(instance: AuctionInstance, mass: np.ndarray, rivals: list[frozenset]) -> np.ndarray | None:
     """Each agent's player when the scenario distribution is a product over players, else None.
 
-    The distribution is such a product when every scenario holds P agents,
-    one from each of P classes that never share a scenario; the scenarios
-    number the product of the class sizes, so every combination occurs once;
-    and every probability equals the product of its members' participation
-    probabilities ``mass`` to a relative ``P * (S + 2P)`` machine epsilons,
-    S the scenario count. That is the rounding of the P-fold product and of
-    a participation probability, a sum of at most S products of P factors;
-    a correlated joint differs by far more. The players are numbered as the
-    first scenario's members.
+    ``rivals[a]`` is the set of rival sets agent ``a`` faces. A player's
+    agents all face the same ones, so the agents are grouped by them, the
+    groups numbered by first agent. Two agents of one group never share a
+    scenario (each would be in a rival set of the other), and swapping one
+    for the other in a scenario gives a scenario; so with P groups and P
+    members in every scenario, every combination of one agent per group
+    occurs. It is a product when each probability also equals the product
+    of its members' participation probabilities ``mass`` to a relative
+    ``P * (S + 2P)`` machine epsilons, S scenarios: the rounding of that
+    product and of ``mass``, a sum of at most S such products; a correlated
+    joint differs by far more.
     """
-    size = len(instance.scenarios[0].members)
+    group: dict[frozenset, int] = {}
+    labels = np.array([group.setdefault(faced, len(group)) for faced in rivals])
+    size = len(group)
     if any(len(s.members) != size for s in instance.scenarios):
         return None
     members = np.array([sorted(s.members) for s in instance.scenarios])
-    # the players, read off the first scenario: a scenario that differs from
-    # it in one agent swaps in another agent of the same player, and in a
-    # product every agent outside the first scenario is swapped in once
-    first = members[0]
-    inside = np.isin(members, first)
-    near = inside.sum(axis=1) == size - 1
-    position = np.searchsorted(first, members[near])  # position in the first scenario, for the shared agents
-    swapped_out = size * (size - 1) // 2 - (position * inside[near]).sum(axis=1)
-    swapped_in = members[near][~inside[near]]
-    labels = np.full(instance.n_agents, -1)
-    labels[first] = np.arange(size)
-    labels[swapped_in] = swapped_out
-    if (swapped_in.size != instance.n_agents - size
-            or labels.min() < 0
-            or not (np.sort(labels[members], axis=1) == np.arange(size)).all()
-            or math.prod(np.bincount(labels).tolist()) != len(instance.scenarios)):
-        return None
     probs = np.array([s.prob for s in instance.scenarios])
     product = mass[members].prod(axis=1)
     if not (np.abs(probs - product) <= size * (probs.size + 2 * size) * np.finfo(float).eps * product).all():
@@ -98,22 +84,22 @@ def _player_labels(instance: AuctionInstance, mass: np.ndarray) -> np.ndarray | 
 class PayoffEngine:
     """Vectorized payoff-curve evaluator bound to one auction instance.
 
-    Each column of the aggregation matrix ``qmat`` is one distinct rival
-    set, numbered by first appearance, and ``qmat[a, set]`` is agent ``a``'s
-    conditional probability of facing it: ``curves`` multiplies the rivals'
-    strict CDFs once per set and mixes the sets into the agents with one
-    matrix product. When no scenario has more than one rival the sets are
-    the CDF rows themselves (column ``n_agents`` is the all-ones row of a
-    rival-free scenario), and nothing is gathered or multiplied.
+    Each column of the aggregation matrix ``qmat`` multiplies the factor
+    rows one key names, the keys numbered by first appearance, and
+    ``curves`` mixes the columns into the agents with one matrix product.
+    In general the rows are the strict CDFs, a key is a rival set, and
+    ``qmat[a, set]`` is agent ``a``'s conditional probability of facing it.
+    When no key has two members the columns are the CDF rows themselves
+    (column ``n_agents`` is the all-ones row of a rival-free scenario), and
+    nothing is gathered or multiplied.
 
     When some scenario has two or more rivals and the scenario distribution
-    is a product over players (see :func:`_player_labels`), the columns are
-    the players instead: ``curves`` first mixes each player's agents' CDFs,
-    weighted by their participation probabilities normalized within the
-    player, into ``P(player bids below b)``, multiplies the other players'
-    mixtures per player, and ``qmat[a, p]`` is 1 when agent ``a`` is player
-    ``p``'s. That avoids one column per combination of the other players'
-    values; every other instance keeps its rival sets.
+    is a product over players (see :func:`_player_labels`), the rows are
+    the players': ``curves`` mixes each player's agents' CDFs, weighted by
+    their participation probabilities normalized within the player, into
+    ``P(player bids below b)``; player ``p``'s key is the other players, and
+    ``qmat[a, p]`` is 1 when agent ``a`` is ``p``'s. That avoids one column
+    per combination of the other players' values.
 
     ``n_groups`` counts the distinct conditional structures (rival sets and
     their probabilities) among the agents; ``dedup`` is accepted for
@@ -141,32 +127,35 @@ class PayoffEngine:
         mass = participation_probabilities(instance)
         rows = [tuple((tuple(sorted(s.members - {a})), q) for s, q in items)
                 for a, items in enumerate(conditional_scenarios(instance))]
-        labels = _player_labels(instance, mass) if max(len(s.members) for s in instance.scenarios) > 2 else None
-        mixing = None
-        if labels is not None:
-            # the columns are the players: slot j of player p is p's j-th other player
-            n_columns, name = int(labels.max()) + 1, "players"
-            others = [[q for q in range(n_columns) if q != p] for p in range(n_columns)]
-            slots: tuple[np.ndarray, ...] = tuple(np.array(slot, dtype=np.intp) for slot in zip(*others))
-            mixing = np.zeros((n_columns, n + 1))
-            mixing[labels, np.arange(n)] = mass / np.bincount(labels, weights=mass)[labels]
-        else:
+        labels = mixing = None
+        if max(len(s.members) for s in instance.scenarios) > 2:
+            labels = _player_labels(instance, mass, [frozenset(rivals for rivals, _q in items) for items in rows])
+        # entry (agent, key, weight) puts weight at qmat[agent, key's column]; the column holds the
+        # product of the factor rows the key names: a rival set's CDFs, or the other players' mixtures
+        if labels is None:
             name = "rival sets"
-            column: dict[tuple[int, ...], int] = {}  # rival set -> column, by first appearance
-            for items in rows:
-                for rivals, _q in items:
-                    column.setdefault(rivals, len(column))
-            max_rivals = max(map(len, column), default=0)
-            if max_rivals <= 1:
-                slots = ()
-                column = {rivals: rivals[0] if rivals else n for rivals in column}
-                n_columns = n + 1
-            else:
-                # rival slot n points at the all-ones row, so padded slots and
-                # rival-free scenarios contribute a neutral factor to the products
-                padded = [rivals + (n,) * (max_rivals - len(rivals)) for rivals in column]  # in column order
-                slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
-                n_columns = len(column)
+            entries = [(a, rivals, q) for a, items in enumerate(rows) for rivals, q in items]
+        else:
+            name = "players"
+            n_players = int(labels.max()) + 1
+            mixing = np.zeros((n_players, n + 1))
+            mixing[labels, np.arange(n)] = mass / np.bincount(labels, weights=mass)[labels]
+            entries = [(a, tuple(p for p in range(n_players) if p != own), 1.0)
+                       for a, own in enumerate(labels.tolist())]
+        column: dict[tuple[int, ...], int] = {}  # key -> column, by first appearance
+        for _a, key, _w in entries:
+            column.setdefault(key, len(column))
+        width = max(map(len, column), default=0)
+        if width <= 1:  # the columns are the CDF rows themselves, row n for no rivals
+            slots: tuple[np.ndarray, ...] = ()
+            column = {key: key[0] if key else n for key in column}
+            n_columns = n + 1
+        else:
+            # slot n points at the all-ones row, so padded slots and
+            # rival-free scenarios contribute a neutral factor to the products
+            padded = [key + (n,) * (width - len(key)) for key in column]  # in column order
+            slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
+            n_columns = len(column)
         problem = _table_problem((n, "agents"), (n_columns, name))
         if slots and not problem:  # the workspace's one block of products, gathered rows and mixtures
             problem = _table_problem((2 if mixing is None else 3, "product buffers"), (n_columns, name),
@@ -174,12 +163,8 @@ class PayoffEngine:
         if problem:
             raise InvalidInstanceError([problem])
         qmat = np.zeros((n, n_columns))
-        if labels is not None:
-            qmat[np.arange(n), labels] = 1.0
-        else:
-            for a, items in enumerate(rows):
-                for rivals, q in items:
-                    qmat[a, column[rivals]] = q
+        for a, key, weight in entries:
+            qmat[a, column[key]] = weight
 
         self._n = n
         self._n_bids = bids.size

@@ -258,6 +258,8 @@ _NAN_VALUE = {
     pytest.param(_NAN_VALUE, ["--eps-target", "1e-3"], "agents [0] have non-finite values", id="nan-value"),
     pytest.param({**_PAIR, "scenarios": [{"members": [0.9, 1.2], "prob": 1.0}]}, [],
                  "invalid input: scenario member must be an integer, got 0.9", id="fractional-member"),
+    pytest.param({**_PAIR, "scenarios": [{"members": [0, 0, 1], "prob": 1.0}]}, [],
+                 "invalid input: scenarios[0].members repeats agent 0", id="repeated-member"),
     pytest.param({**_PAIR, "grid": {"max": 1.0, "steps": 4.7}}, [], "invalid input: steps must be an integer, got 4.7",
                  id="fractional-steps"),
     pytest.param({**_PAIR, "grid": {"max": 1.0, "steps": True}}, [], "invalid input: steps must be an integer, got True",

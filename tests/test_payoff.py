@@ -151,8 +151,19 @@ def _correlated_joint(zero_cell: bool) -> PlayerAuction:
     return PlayerAuction(([0.2, 0.6], [0.3, 0.5, 0.9], [0.4, 0.8]), joint / joint.sum())
 
 
+def _permuted(instance: AuctionInstance, order: np.ndarray) -> AuctionInstance:
+    """``instance`` with agent ``a`` renumbered ``order[a]``."""
+    values = np.empty_like(instance.values)
+    values[order] = instance.values
+    scenarios = tuple(Scenario(frozenset(order[sorted(s.members)].tolist()), s.prob) for s in instance.scenarios)
+    return AuctionInstance(values, scenarios, instance.grid, instance.rule)
+
+
 _FACTORED = {
     "example-4": lambda: example_4().instance,
+    # the players' agents interleaved, so a builder that numbers its columns
+    # other than by player fails the gathered products below
+    "example-4-permuted": lambda: _permuted(example_4().instance, np.random.default_rng(4).permutation(9)),
     **{f"independent-{p}x{v}": lambda p=p, v=v: _converted(_random_independent_players(p, p, v))
        for p, v in ((3, 2), (4, 3), (5, 3))},
     "players-4x5": lambda: _converted(_random_independent_players(0, 4, 5), steps=400),
@@ -177,6 +188,45 @@ def test_engine_factors_independent_players(build):
     assert np.array_equal(engine._qmat.sum(axis=1), np.ones(inst.n_agents))
     assert engine._mixing.sum(axis=1) == pytest.approx(np.ones(n_players), abs=1e-14)
     assert [slot.size for slot in engine._slots] == [n_players] * (n_players - 1)
+    table = engine.cdf_table(random_profile(np.random.default_rng(21), inst.n_agents, inst.n_bids).weights)
+    assert np.array_equal(engine.curves(table), gathered_curves(engine, inst, table))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_finds_the_players_whatever_the_agent_numbering(seed):
+    # a converted auction with its agents renumbered at random: the engine
+    # factors exactly the independent ones, each agent's column is its player
+    # (players numbered by their first agent), and the curves match both oracles
+    rng = np.random.default_rng(seed)
+    kind = ("independent", "correlated", "zero-cell")[seed % 3]
+    n_players = 3 + seed // 3 % 2
+    sizes = rng.integers(2, 7 - n_players, size=n_players)
+    value_sets = [np.sort(rng.choice(np.arange(1, 21), size=k, replace=False)) / 20 for k in sizes]
+    if kind == "independent":
+        marginals = [rng.uniform(0.5, 1.5, size=k) for k in sizes]
+        players = PlayerAuction.independent(value_sets, [m / m.sum() for m in marginals])
+    else:
+        joint = rng.uniform(0.5, 1.5, size=sizes)
+        if kind == "zero-cell":
+            joint.reshape(-1)[rng.integers(joint.size)] = 0.0
+        players = PlayerAuction(tuple(value_sets), joint / joint.sum())
+    values, scenarios, partition = convert_player_to_agent(players)
+    order = rng.permutation(values.size)
+    player = np.empty_like(partition)
+    player[order] = partition
+    first: dict[int, int] = {}
+    expected = [first.setdefault(p, len(first)) for p in player.tolist()]
+    for alpha in (1.0, 0.5):
+        inst = _permuted(AuctionInstance(values, scenarios, BidGrid.uniform(1.0, 4), PaymentRule(alpha)), order)
+        engine = PayoffEngine(inst)
+        assert (engine._mixing is not None) == (kind == "independent")
+        if kind == "independent":
+            assert np.array_equal(engine._qmat, np.eye(n_players)[expected])
+        profile = random_profile(rng, inst.n_agents, inst.n_bids)
+        table = engine.cdf_table(profile.weights)
+        curves = engine.curves(table)
+        assert np.array_equal(curves, gathered_curves(engine, inst, table))
+        assert curves == pytest.approx(brute_force_curves(profile, inst), abs=1e-12)
 
 
 @pytest.mark.parametrize("build", _NOT_FACTORED.values(), ids=_NOT_FACTORED.keys())
