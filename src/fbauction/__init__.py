@@ -12,7 +12,6 @@ from .model import (
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
-    MixedStrategy,
     PaymentRule,
     PlayerAuction,
     Scenario,
@@ -57,7 +56,6 @@ __all__ = [
     "EquilibriumCertificate",
     "FIRST_PRICE",
     "InvalidInstanceError",
-    "MixedStrategy",
     "NamedInstance",
     "PayoffEngine",
     "PaymentRule",

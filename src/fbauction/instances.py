@@ -13,7 +13,7 @@ Player-based files replace ``values``/``scenarios`` with::
      "joint": [...]}                    # optional nested table; omitted
                                         # means values are independent
 
-and are converted to the agent-based form on load.
+and are converted to the agent-based form on load. Each object may hold only the keys read.
 """
 from __future__ import annotations
 
@@ -45,16 +45,12 @@ class NamedInstance:
 
     ``expected_epsilon`` is the certificate size the recommended
     configuration is known to reach (order of magnitude, not a bound).
-    ``partition`` is present for instances built from a player-based
-    description: ``partition[a]`` is agent ``a``'s player, as
-    :func:`~fbauction.model.convert_player_to_agent` returns it.
     """
 
     name: str
     instance: AuctionInstance
     config: SolverConfig
     expected_epsilon: float | None = None
-    partition: np.ndarray | None = None
 
 
 def _recommended(max_iterations: int) -> SolverConfig:
@@ -102,16 +98,11 @@ def example_3() -> NamedInstance:
 
 
 def _converted(name: str, players: PlayerAuction, max_iterations: int, expected: float) -> NamedInstance:
-    values, scenarios, partition = convert_player_to_agent(players)
     # bids above the top value are dominated, so the grid stops there; the
     # resolution matches example 1's 1/400 relative step
     top = float(max(vs[-1] for vs in players.value_sets))
-    instance = AuctionInstance(
-        values=values,
-        scenarios=scenarios,
-        grid=BidGrid.uniform(top, 400),
-    )
-    return NamedInstance(name, instance, _recommended(max_iterations), expected_epsilon=expected, partition=partition)
+    instance = AuctionInstance(*convert_player_to_agent(players)[:2], BidGrid.uniform(top, 400))
+    return NamedInstance(name, instance, _recommended(max_iterations), expected_epsilon=expected)
 
 
 def example_4() -> NamedInstance:
@@ -180,14 +171,12 @@ BUILTIN_EXAMPLES = {
 }
 
 
-def get_example(name: str, seed: int = 0, n_agents: int = 10, n_scenarios: int = 20) -> NamedInstance:
-    """Look up a bundled instance by name ("1".."5" or "random")."""
-    if name == "random":
-        return random_instance(seed, n_agents=n_agents, n_scenarios=n_scenarios)
+def get_example(name: str) -> NamedInstance:
+    """Look up a bundled instance by name ("1".."5"); :func:`random_instance` builds random ones."""
     try:
         return BUILTIN_EXAMPLES[name]()
     except KeyError:
-        raise KeyError(f"unknown example {name!r}; choose from {sorted(BUILTIN_EXAMPLES)} or 'random'") from None
+        raise KeyError(f"unknown example {name!r}; choose from {sorted(BUILTIN_EXAMPLES)}") from None
 
 
 def grid_to_spec(grid: BidGrid) -> dict:
@@ -217,13 +206,16 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     ``KeyError``/``TypeError``/``ValueError`` for structurally broken documents.
     """
     data = _json(data, dict, "instance")
-    grid_spec = _json(_field(data, "grid", "instance"), dict, "grid")
-    rule_spec = _json(data.get("rule", {}), dict, "rule")
+    _only(data, "instance", "grid", "rule", *(("players", "joint") if "players" in data else ("values", "scenarios")))
+    grid_spec = _only(_json(_field(data, "grid", "instance"), dict, "grid"), "grid", "max", "steps")
+    rule_spec = _only(_json(data.get("rule", {}), dict, "rule"), "rule", "alpha")
     grid = BidGrid.uniform(_number(_field(grid_spec, "max", "grid"), "grid.max"), _field(grid_spec, "steps", "grid"))
     rule = PaymentRule(_number(rule_spec.get("alpha", 1.0), "rule.alpha"))
 
     if "players" in data:
-        specs = [_json(p, dict, f"players[{i}]") for i, p in enumerate(_json(data["players"], list, "players"))]
+        read = ("values",) if "joint" in data else ("values", "probs")  # probs are not read beside a joint table
+        specs = [_only(_json(p, dict, f"players[{i}]"), f"players[{i}]", *read)
+                 for i, p in enumerate(_json(data["players"], list, "players"))]
         value_sets = tuple(_field(p, "values", f"players[{i}]") for i, p in enumerate(specs))
         if "joint" in data:
             players = PlayerAuction(value_sets, data["joint"])
@@ -235,7 +227,7 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     scenarios = []
     for i, s in enumerate(_json(_field(data, "scenarios", "instance"), list, "scenarios")):
         where = f"scenarios[{i}]"
-        s = _json(s, dict, where)
+        s = _only(_json(s, dict, where), where, "members", "prob")
         members = _json(_field(s, "members", where), list, f"{where}.members")
         scenarios.append(Scenario(frozenset(members), _number(_field(s, "prob", where), f"{where}.prob")))
         if len(scenarios[-1].members) < len(members):  # the set hides a repeated agent
@@ -250,7 +242,7 @@ def _json(x, kind: type, what: str):
     return x
 
 
-class _MissingField(KeyError):
+class _FieldError(KeyError):
     """A ``KeyError`` whose text is its message, unquoted."""
 
     __str__ = Exception.__str__
@@ -261,7 +253,14 @@ def _field(spec: dict, key: str, what: str):
     try:
         return spec[key]
     except KeyError:
-        raise _MissingField(f"{what} has no {key!r}") from None
+        raise _FieldError(f"{what} has no {key!r}") from None
+
+
+def _only(spec: dict, what: str, *keys: str) -> dict:
+    """``spec``, or a ``KeyError`` naming the object ``what`` and its first key that is not one of ``keys``."""
+    if unexpected := [key for key in spec if key not in keys]:
+        raise _FieldError(f"{what} has unexpected key {unexpected[0]!r}")
+    return spec
 
 
 def load_instance(path: str | Path) -> AuctionInstance:

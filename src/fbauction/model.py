@@ -135,9 +135,12 @@ class Scenario:
     prob: float
 
     def __post_init__(self):
-        members = frozenset(_exact_int(m, "scenario member") for m in self.members)
+        given = self.members if isinstance(self.members, (set, frozenset)) else tuple(self.members)
+        members = frozenset(_exact_int(m, "scenario member") for m in given)
         if not members:
             raise ValueError("scenario needs at least one member")
+        if len(members) < len(given):  # a set cannot hold a repeat
+            raise ValueError(f"scenario members {[int(m) for m in given]} repeat an agent")
         if not 0.0 <= _number(self.prob, "scenario probability") <= 1.0:
             raise ValueError(f"scenario probability {self.prob} outside [0, 1]")
         object.__setattr__(self, "members", members)
@@ -259,16 +262,6 @@ def _probability_rows(weights: np.ndarray, ndim: int, what: str = "weights") -> 
 
 
 @dataclass(frozen=True, eq=False)
-class MixedStrategy:
-    """Probability vector over the bid grid."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _probability_rows(np.atleast_1d(self.weights), 1))
-
-
-@dataclass(frozen=True, eq=False)
 class StrategyProfile:
     """One mixed strategy per agent, all over the same bid grid.
 
@@ -282,13 +275,9 @@ class StrategyProfile:
         object.__setattr__(self, "weights", _probability_rows(self.weights, 2))
 
     @property
-    def n_agents(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
-    def strategies(self) -> tuple[MixedStrategy, ...]:
-        """The rows of ``weights`` as per-agent strategies (built on access)."""
-        return tuple(MixedStrategy(row) for row in self.weights)
+    def strategies(self) -> tuple[np.ndarray, ...]:
+        """The read-only rows of ``weights``, one per agent."""
+        return tuple(self.weights)
 
     @classmethod
     def from_matrix(cls, weights: np.ndarray) -> "StrategyProfile":
@@ -322,7 +311,11 @@ class PlayerAuction:
             sets.append(_levels(vs, f"player {i} values"))
         if not sets:
             raise ValueError("need at least one player")
-        joint = np.asarray(_numbers(self.joint, "joint"), dtype=np.float64)
+        joint = _numbers(self.joint, "joint")
+        try:
+            joint = np.asarray(joint, dtype=np.float64)
+        except ValueError:  # numpy's text for nested lists of unequal length names no field
+            raise ValueError("joint must be a table whose rows have equal lengths") from None
         if joint.shape != tuple(vs.size for vs in sets):
             raise ValueError(f"joint table shape {joint.shape} does not match value sets")
         joint = _probability_rows(joint.ravel(), 1, "joint probabilities").reshape(joint.shape)
@@ -350,12 +343,8 @@ class PlayerAuction:
         # the conversion writes one member per player for every value profile
         if problem := _table_problem((math.prod(m.size for m in margs), "value profiles"), (len(margs), "players")):
             raise ValueError(problem)
-        joint = reduce(np.multiply.outer, margs)
+        joint = reduce(np.multiply.outer, margs) if margs else None  # no players: the constructor refuses them first
         return cls(tuple(value_sets), joint)
-
-    @property
-    def n_players(self) -> int:
-        return len(self.value_sets)
 
 
 def convert_player_to_agent(auction: PlayerAuction) -> tuple[np.ndarray, tuple[Scenario, ...], np.ndarray]:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PROB_TOL, AuctionInstance, BidGrid, MixedStrategy, StrategyProfile
+from .model import PROB_TOL, AuctionInstance, BidGrid, StrategyProfile, _probability_rows
 from .payoff import all_payoff_curves
 
 logger = logging.getLogger(__name__)
@@ -86,12 +86,14 @@ def certificate_to_json(certificate: EquilibriumCertificate) -> dict:
     }
 
 
-def cdf_distance(strategy: MixedStrategy, reference_cdf: Callable[[float], float], grid: BidGrid) -> float:
-    """Sup distance between a strategy's CDF and a reference CDF on the grid.
+def cdf_distance(weights: np.ndarray, reference_cdf: Callable[[float], float], grid: BidGrid) -> float:
+    """Sup distance between the CDF of one agent's weight row and a reference CDF on the grid.
 
+    ``weights`` must be a probability vector, such as ``profile.weights[a]``.
     The reference is evaluated at every grid level and must be finite and
     non-decreasing there and reach 1 at the top of the grid.
     """
+    weights = _probability_rows(weights, 1, "strategy weights")
     ref = np.array([float(reference_cdf(b)) for b in grid.bids])
     if not np.all(np.isfinite(ref)):
         raise ValueError("reference CDF must be finite on the grid")
@@ -99,7 +101,7 @@ def cdf_distance(strategy: MixedStrategy, reference_cdf: Callable[[float], float
         raise ValueError("reference CDF must be non-decreasing on the grid")
     if abs(ref[-1] - 1.0) > PROB_TOL:
         raise ValueError(f"reference CDF ends at {ref[-1]:.12g}, expected 1")
-    if strategy.weights.size != len(grid):
+    if weights.size != len(grid):
         raise ValueError("strategy and grid sizes differ")
-    empirical = np.cumsum(strategy.weights)
+    empirical = np.cumsum(weights)
     return float(np.abs(empirical - ref).max())

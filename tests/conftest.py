@@ -165,7 +165,7 @@ def exhaustive_player_payoffs(
     """
     sizes = [vs.size for vs in players.value_sets]
     offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-    n_players = players.n_players
+    n_players = len(players.value_sets)
     n_bids = len(grid_bids)
     totals = np.zeros(n_players)
     for vidx in np.ndindex(*players.joint.shape):

@@ -69,12 +69,12 @@ def test_criterion_1_symmetric_binary_reproduction(example1_run):
     eps = result.certificate.epsilon
     profile = result.profile
 
-    zero_mass = min(profile.strategies[a].weights[0] for a in (0, 1))
+    zero_mass = min(profile.weights[a, 0] for a in (0, 1))
 
     def ref(b):
         return min(1.0 / (1.0 - b) - 1.0, 1.0) if b < 0.5 else 1.0
 
-    distance = max(cdf_distance(profile.strategies[a], ref, named.instance.grid) for a in (2, 3))
+    distance = max(cdf_distance(profile.weights[a], ref, named.instance.grid) for a in (2, 3))
     curves = all_payoff_curves(profile, named.instance)
     payoffs = [np.dot(profile.weights[a], curves[a]) for a in (2, 3)]
     ok = (
@@ -166,7 +166,7 @@ def test_criterion_7_player_agent_round_trip():
 
         agent_payoffs = certify(profile, inst).payoffs
         recomposed = player_payoff(partition, agent_payoffs, participation_probabilities(inst))
-        direct = exhaustive_player_payoffs(players, [s.weights for s in profile.strategies], grid.bids, alpha)
+        direct = exhaustive_player_payoffs(players, list(profile.weights), grid.bids, alpha)
         worst = max(worst, float(np.abs(recomposed - direct).max()))
         checked += 1
     ok = worst <= 1e-10

@@ -277,6 +277,13 @@ _NAN_VALUE = {
     pytest.param({"players": [{"values": [0.1, 0.2]}, {"values": [0.1]}], "joint": [[0.5], ["0.5"]],
                   "grid": {"max": 1.0, "steps": 4}}, [], "invalid input: joint[1][0] must be a number, got '0.5'",
                  id="string-joint-cell"),
+    pytest.param({"players": [{"values": [0.1, 0.2]}, {"values": [0.1, 0.2]}], "joint": [[0.5, 0.25], [0.25]],
+                  "grid": {"max": 1.0, "steps": 4}}, [],
+                 "invalid input: joint must be a table whose rows have equal lengths", id="ragged-joint"),
+    pytest.param({"players": [], "grid": {"max": 1.0, "steps": 4}}, [], "invalid input: need at least one player",
+                 id="no-players"),
+    pytest.param({"players": [], "joint": [], "grid": {"max": 1.0, "steps": 4}}, [],
+                 "invalid input: need at least one player", id="no-players-joint"),
     pytest.param({**_PAIR, "scenarios": [{"members": [0, 1], "prob": None}]}, [],
                  "invalid input: scenarios[0].prob must be a number, got None", id="null-prob"),
     pytest.param({**_PAIR, "rule": {"alpha": None}}, [], "invalid input: rule.alpha must be a number, got None",
@@ -452,6 +459,17 @@ def test_solve_unreadable_file_exits_1(tmp_path, capsys):
         ({**_PAIR, "scenarios": [{"members": [0, 1]}]}, "scenarios[0] has no 'prob'"),
         ({**players, "players": [{"values": [0.1]}]}, "players[0] has no 'probs'"),
         ({**players, "players": [{"probs": [1.0]}]}, "players[0] has no 'values'"),
+        # every object holds only the keys the reader reads, so no key is dropped without a word
+        ({**_PAIR, "rules": {"alpha": 0.5}}, "instance has unexpected key 'rules'"),
+        ({**_PAIR, **players, "joint": [1.0]}, "instance has unexpected key 'values'"),
+        ({**players, "joint": [1.0]}, "players[0] has unexpected key 'probs'"),
+        ({**_PAIR, "joint": [1.0]}, "instance has unexpected key 'joint'"),
+        ({**_PAIR, "grid": {"max": 1.0, "steps": 4, "min": 0.0}}, "grid has unexpected key 'min'"),
+        ({**_PAIR, "rule": {"alpha": 0.5, "beta": 1.0}}, "rule has unexpected key 'beta'"),
+        ({**_PAIR, "scenarios": [{"members": [0, 1], "prob": 1.0, "weight": 2}]},
+         "scenarios[0] has unexpected key 'weight'"),
+        ({**players, "players": [{"values": [0.1], "probs": [1.0], "prob": 1.0}]},
+         "players[0] has unexpected key 'prob'"),
     ]:
         partial.write_text(json.dumps(doc))
         assert main(["solve", "--file", str(partial), "--out", str(tmp_path / "out")]) == 1

@@ -17,6 +17,7 @@ from fbauction import (
     StrategyProfile,
     certify,
     conditional_scenarios,
+    convert_player_to_agent,
     example_1,
     example_2,
     example_3,
@@ -93,8 +94,6 @@ def test_example_4_structure():
     inst = named.instance
     assert inst.n_agents == 9
     assert len(inst.scenarios) == 27
-    assert named.partition is not None
-    assert named.partition.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     # participation probabilities recompose the stated per-player marginals
     part = participation_probabilities(inst)
     assert part[:3] == pytest.approx([0.25, 0.25, 0.5])
@@ -136,7 +135,8 @@ def test_converted_examples_recompose_player_payoffs(builder):
     w /= w.sum(axis=1, keepdims=True)
     profile = StrategyProfile.from_matrix(w)
     agent_payoffs = certify(profile, coarse).payoffs
-    recomposed = player_payoff(named.partition, agent_payoffs, participation_probabilities(coarse))
+    partition = convert_player_to_agent(players)[2]
+    recomposed = player_payoff(partition, agent_payoffs, participation_probabilities(coarse))
     direct = exhaustive_player_payoffs(players, list(w), coarse.grid.bids, alpha=1.0)
     assert np.allclose(recomposed, direct, atol=1e-12)
 
@@ -281,8 +281,10 @@ def test_grid_spec_requires_uniform_grid():
 
 
 def test_get_example_unknown_name():
-    with pytest.raises(KeyError):
-        get_example("99")
-    named = get_example("random", seed=3, n_agents=6, n_scenarios=8)
+    for name in ("99", "random"):  # random instances come from random_instance alone
+        with pytest.raises(KeyError) as raised:
+            get_example(name)
+        assert raised.value.args == (f"unknown example {name!r}; choose from ['1', '2', '3', '4', '5']",)
+    named = random_instance(3, n_agents=6, n_scenarios=8)
     assert named.name == "random-seed3"
     assert all(len(s.members) == 2 for s in named.instance.scenarios)

@@ -13,14 +13,12 @@ from fbauction import (
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
-    MixedStrategy,
     PaymentRule,
     PlayerAuction,
     Scenario,
     StrategyProfile,
     certify,
     convert_player_to_agent,
-    example_4,
     participation_probabilities,
     player_payoff,
     validate_instance,
@@ -84,6 +82,16 @@ def test_scenario_invariants():
     for flag in (True, np.True_, "0.5"):
         with pytest.raises(ValueError, match=f"^scenario probability must be a number, got {re.escape(repr(flag))}$"):
             Scenario(frozenset({0, 1}), flag)
+
+
+def test_scenario_rejects_a_repeated_member():
+    for members in ([0, 0, 1], (2, 1, 2), np.array([1, 1])):
+        with pytest.raises(ValueError, match=r"^scenario members \[.*\] repeat an agent$"):
+            Scenario(members, 1.0)
+    with pytest.raises(ValueError, match=r"^scenario members \[0, 0, 1\] repeat an agent$"):
+        Scenario([0, 0.0, 1], 1.0)
+    assert Scenario([1, 0], 1.0).members == frozenset({0, 1})
+    assert Scenario((m for m in (1, 0)), 1.0).members == frozenset({0, 1})  # any iterable of distinct agents
 
 
 def test_payment_rule_range():
@@ -171,26 +179,18 @@ def test_validate_reports_an_unknown_member_once():
     assert raised.value.problems == ["scenarios reference unknown agents [2]"]
 
 
-def test_mixed_strategy_invariants():
-    MixedStrategy(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        MixedStrategy(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        MixedStrategy(np.array([1.5, -0.5]))
-
-
 def test_strategy_profile_shapes():
     profile = StrategyProfile.uniform(3, 5)
-    assert profile.n_agents == 3
     assert profile.weights.shape == (3, 5)
     point = point_mass_profile(2, 4, bid_index=1)
-    assert point.strategies[0].weights[1] == 1.0
+    assert point.weights[0, 1] == 1.0
+    # strategies are the weight matrix's rows, and the rows rebuild the profile
+    assert all(np.array_equal(row, point.weights[a]) for a, row in enumerate(point.strategies))
+    assert np.array_equal(StrategyProfile(point.strategies).weights, point.weights)
     with pytest.raises(ValueError):
         StrategyProfile([[1.0], [0.5, 0.5]])
     with pytest.raises(ValueError, match=r"^weights must be a non-empty 2-d array, got shape \(3,\)$"):
         StrategyProfile(np.full(3, 1.0 / 3.0))
-    with pytest.raises(TypeError):  # a profile is a weight matrix, not a sequence of strategies
-        StrategyProfile((MixedStrategy(np.array([1.0, 0.0])), MixedStrategy(np.array([0.5, 0.5]))))
 
 
 def test_model_types_are_immutable():
@@ -199,12 +199,9 @@ def test_model_types_are_immutable():
         inst.values[0] = 2.0
     with pytest.raises(Exception):
         inst.grid.bids[0] = 0.5
-    strat = MixedStrategy(np.array([1.0, 0.0]))
-    with pytest.raises(Exception):
-        strat.weights[0] = 0.3
-    # the player map stays the integer vector player_payoff sums by
     with pytest.raises(ValueError, match="read-only"):
-        example_4().partition[0] = 2
+        StrategyProfile.uniform(2, 2).strategies[0][0] = 0.3
+    # the player map stays the integer vector player_payoff sums by
     players = PlayerAuction.independent([[0.1, 0.2], [0.1]], [[0.5, 0.5], [1.0]])
     partition = convert_player_to_agent(players)[2]
     assert partition.dtype == np.intp
@@ -303,6 +300,14 @@ def test_convert_uniform_binary_matches_symmetric_pair():
     assert {s.prob for s in scenarios} == {0.25}
 
 
+def test_player_auction_names_a_ragged_joint_table():
+    value_sets = ([0.1, 0.2], [0.1, 0.2])
+    with pytest.raises(ValueError, match="^joint must be a table whose rows have equal lengths$"):
+        PlayerAuction(value_sets, [[0.5, 0.25], [0.25]])
+    with pytest.raises(ValueError, match=r"^joint\[1\]\[0\] must be a number, got '0.25'$"):
+        PlayerAuction(value_sets, [[0.5, 0.25], ["0.25"]])  # a cell that is no number still names its place
+
+
 def test_player_auction_rejects_empty_value_set():
     with pytest.raises(ValueError):
         PlayerAuction((np.array([]),), np.array([1.0]))
@@ -340,6 +345,7 @@ def test_player_auction_rejects_bad_input(value_sets, joint, message):
 
 @pytest.mark.parametrize("value_sets, marginals, message", [
     pytest.param([[0.1], [0.2]], [[1.0]], "need one marginal per player", id="missing-marginal"),
+    pytest.param([], [], "need at least one player", id="no-players"),
     pytest.param([[0.1, 0.2]], [[1.0]], "player 0: 2 values but 1 probabilities", id="short-marginal"),
     pytest.param([[True, 2.0]], [[0.5, 0.5]], "player 0 values[0] must be a number, got True", id="bool-value"),
     pytest.param([[0.1, 2.0]], [["0.5", 0.5]], "player 0 probabilities[0] must be a number, got '0.5'",
@@ -407,7 +413,7 @@ def test_player_agent_payoff_round_trip():
         alpha = float(rng.choice([1.0, 0.5, 0.0]))
         inst = AuctionInstance(values, scenarios, grid, PaymentRule(alpha))
         profile = random_profile(rng, inst.n_agents, inst.n_bids)
-        weights = [s.weights for s in profile.strategies]
+        weights = list(profile.weights)
 
         agent_payoffs = certify(profile, inst).payoffs
         recomposed = player_payoff(partition, agent_payoffs, participation_probabilities(inst))

@@ -1,6 +1,8 @@
 """Certificates and distance-to-reference diagnostics."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from conftest import brute_force_curves, random_profile, random_small_instance
 from fbauction import (
     AuctionInstance,
     BidGrid,
-    MixedStrategy,
     Scenario,
     StrategyProfile,
     all_payoff_curves,
@@ -57,7 +58,7 @@ def test_certificate_and_brute_force_gaps_agree():
         cert = certify(profile, inst)
         assert cert.epsilon >= 0.0
         for a, curve in enumerate(brute_force_curves(profile, inst)):
-            achieved = float(np.dot(profile.strategies[a].weights, curve))
+            achieved = float(np.dot(profile.weights[a], curve))
             gap = max(curve.max() - achieved, 0.0)
             assert cert.gaps[a] == pytest.approx(gap, abs=1e-10)
             assert cert.payoffs[a] == pytest.approx(achieved, abs=1e-10)
@@ -94,8 +95,7 @@ def test_cdf_distance_identity():
         return min(b + 0.5, 1.0)
 
     weights = np.diff(np.concatenate(([0.0], [ref(b) for b in grid.bids])))
-    strategy = MixedStrategy(weights)
-    assert cdf_distance(strategy, ref, grid) == 0.0
+    assert cdf_distance(weights, ref, grid) == 0.0
 
 
 def test_cdf_distance_point_mass_vs_analytic_reference():
@@ -107,12 +107,12 @@ def test_cdf_distance_point_mass_vs_analytic_reference():
     point = np.zeros(len(grid))
     point[0] = 1.0
     # all mass at 0 against a reference that starts at 0: gap of 1 at b = 0
-    assert cdf_distance(MixedStrategy(point), ref, grid) == 1.0
+    assert cdf_distance(point, ref, grid) == 1.0
 
 
 def test_cdf_distance_rejects_bad_references():
     grid = BidGrid(np.array([0.0, 0.5, 1.0]))
-    strategy = MixedStrategy(np.array([0.2, 0.3, 0.5]))
+    strategy = np.array([0.2, 0.3, 0.5])
     with pytest.raises(ValueError):
         cdf_distance(strategy, lambda b: 1.0 - b, grid)  # decreasing
     with pytest.raises(ValueError):
@@ -122,6 +122,18 @@ def test_cdf_distance_rejects_bad_references():
 
 
 def test_cdf_distance_rejects_a_strategy_of_another_grid():
-    strategy = MixedStrategy(np.array([0.2, 0.3, 0.5]))
     with pytest.raises(ValueError, match="^strategy and grid sizes differ$"):
-        cdf_distance(strategy, lambda b: b, BidGrid.uniform(1.0, 4))
+        cdf_distance(np.array([0.2, 0.3, 0.5]), lambda b: b, BidGrid.uniform(1.0, 4))
+
+
+@pytest.mark.parametrize("weights, message", [
+    pytest.param([0.5, 0.6, 0.0], "strategy weights sum to 1.1, expected 1", id="sum"),
+    pytest.param([1.5, -0.5, 0.0], "strategy weights must be non-negative", id="negative"),
+    pytest.param([np.nan, 0.5, 0.5], "strategy weights must be finite", id="nan"),
+    pytest.param([[1.0, 0.0, 0.0]], "strategy weights must be a non-empty 1-d array, got shape (1, 3)", id="matrix"),
+])
+def test_cdf_distance_rejects_a_row_that_is_not_a_probability_vector(weights, message):
+    grid = BidGrid(np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cdf_distance(np.array(weights), lambda b: b, grid)
+    assert cdf_distance(np.array([0.5, 0.0, 0.5]), lambda b: b, grid) == 0.5
