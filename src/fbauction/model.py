@@ -61,17 +61,25 @@ def _number(x, what: str):
     raise ValueError(f"{what} must be a number, got {x!r}")
 
 
-def _numbers(x, what: str):
-    """``x``, after :func:`_number` has passed every entry of the nested lists or array ``x``."""
-    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":  # the common case; bool and string arrays walk below
-        return x
-    items = x.tolist() if isinstance(x, np.ndarray) else x
-    if isinstance(items, (list, tuple)):
-        for i, item in enumerate(items):
-            _numbers(item, f"{what}[{i}]")
-    else:
-        _number(items, what)
-    return x
+def _numbers(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array, after :func:`_number` has passed every entry of the nested lists or array ``x``.
+
+    Nested lists of unequal length raise ``ValueError`` naming ``what``.
+    """
+
+    def walk(items, where: str) -> None:
+        if isinstance(items, (list, tuple)):
+            for i, item in enumerate(items):
+                walk(item, f"{where}[{i}]")
+        else:
+            _number(items, where)
+
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):  # the common case; bool and string arrays walk
+        walk(x.tolist() if isinstance(x, np.ndarray) else x, what)
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except ValueError:  # numpy's text for nested lists of unequal length names no field
+        raise ValueError(f"{what} must be a table whose rows have equal lengths") from None
 
 
 def _levels(x: np.ndarray, what: str) -> np.ndarray:
@@ -104,7 +112,7 @@ class BidGrid:
     bids: np.ndarray
 
     def __post_init__(self):
-        bids = np.atleast_1d(np.asarray(_numbers(self.bids, "bid levels"), dtype=np.float64))
+        bids = np.atleast_1d(_numbers(self.bids, "bid levels"))
         if bids.ndim != 1 or bids.size < 2:
             raise ValueError("bid grid needs at least two levels")
         if bids[0] != 0.0:
@@ -185,7 +193,7 @@ class AuctionInstance:
     rule: PaymentRule = FIRST_PRICE
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(_numbers(self.values, "values"), dtype=np.float64))
+        values = np.atleast_1d(_numbers(self.values, "values"))
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-d vector")
         object.__setattr__(self, "values", _readonly(values))
@@ -303,7 +311,7 @@ class PlayerAuction:
     def __post_init__(self):
         sets = []
         for i, vs in enumerate(self.value_sets):
-            vs = np.atleast_1d(np.asarray(_numbers(vs, f"player {i} values"), dtype=np.float64))
+            vs = np.atleast_1d(_numbers(vs, f"player {i} values"))
             if vs.size == 0:
                 raise ValueError(f"player {i} has an empty value set")
             if np.any(vs < 0.0):
@@ -312,10 +320,6 @@ class PlayerAuction:
         if not sets:
             raise ValueError("need at least one player")
         joint = _numbers(self.joint, "joint")
-        try:
-            joint = np.asarray(joint, dtype=np.float64)
-        except ValueError:  # numpy's text for nested lists of unequal length names no field
-            raise ValueError("joint must be a table whose rows have equal lengths") from None
         if joint.shape != tuple(vs.size for vs in sets):
             raise ValueError(f"joint table shape {joint.shape} does not match value sets")
         joint = _probability_rows(joint.ravel(), 1, "joint probabilities").reshape(joint.shape)
@@ -335,8 +339,7 @@ class PlayerAuction:
         """Build the joint table as the product of per-player marginals."""
         if len(value_sets) != len(marginals):
             raise ValueError("need one marginal per player")
-        margs = [np.atleast_1d(np.asarray(_numbers(m, f"player {i} probabilities"), dtype=np.float64))
-                 for i, m in enumerate(marginals)]
+        margs = [np.atleast_1d(_numbers(m, f"player {i} probabilities")) for i, m in enumerate(marginals)]
         for i, (vs, m) in enumerate(zip(value_sets, margs)):
             if len(vs) != m.size:
                 raise ValueError(f"player {i}: {len(vs)} values but {m.size} probabilities")

@@ -203,12 +203,17 @@ class PayoffEngine:
         """Fresh output buffers for :meth:`curves`, which overwrites them on every call.
 
         ``win`` is (n_agents, n_bids + 1) and ``curves`` (n_agents, n_bids);
-        ``sets`` and ``gathered``, (rival sets, n_bids + 1), exist only when
-        some scenario has two or more rivals. On instances that factor into
-        players they are (players, n_bids + 1), and so is ``mixed``.
+        ``pmf`` and ``partial``, (n_agents, n_bids), exist only when the
+        payment rule's alpha is below 1. ``sets`` and ``gathered``, (rival
+        sets, n_bids + 1), exist only when some scenario has two or more
+        rivals. On instances that factor into players they are (players,
+        n_bids + 1), and so is ``mixed``.
         """
         n, levels = self._n, self._n_bids + 1
         work = {"win": np.empty((n, levels)), "curves": np.empty((n, levels - 1))}
+        if self._use_mixture:
+            # partial's first column is never written, so it stays 0: nothing rivals pay below the lowest level
+            work.update(pmf=np.empty((n, levels - 1)), partial=np.zeros((n, levels - 1)))
         if self._slots:
             # one block: freeing two equal blocks trips glibc's adaptive trim
             # threshold, so a fresh workspace per call faulted its pages in
@@ -237,18 +242,21 @@ class PayoffEngine:
             # P(top rival < level), per set: multiplied slot by slot, the order
             # of prod(axis=1); mode="clip" lets take write into out unbuffered
             set_win, gathered = work["sets"], work["gathered"]
-            np.take(factors, self._slots[0], axis=0, out=set_win, mode="clip")
+            factors.take(self._slots[0], axis=0, out=set_win, mode="clip")
             for slot in self._slots[1:]:
-                np.take(factors, slot, axis=0, out=gathered, mode="clip")
+                factors.take(slot, axis=0, out=gathered, mode="clip")
                 set_win *= gathered
         win = np.matmul(self._qmat, set_win, out=work["win"])  # conditional mixture, per agent
         curves = np.multiply(self._value_margin, win[:, :-1], out=work["curves"])
         if self._use_mixture:
-            top_pmf = np.diff(win, axis=1)            # P(top rival bids exactly grid[m])
-            partial = np.empty_like(top_pmf)
-            partial[:, 0] = 0.0
-            np.cumsum((top_pmf * self._bids)[:, :-1], axis=1, out=partial[:, 1:])
-            curves -= self._second_price_share * partial
+            # the operations of np.diff, a product, np.cumsum and a scaled
+            # subtraction, in that order, written into the workspace
+            pmf, partial = work["pmf"], work["partial"]
+            np.subtract(win[:, 1:], win[:, :-1], out=pmf)  # P(top rival bids exactly grid[m])
+            np.multiply(pmf, self._bids, out=pmf)
+            pmf[:, :-1].cumsum(axis=1, out=partial[:, 1:])
+            np.multiply(self._second_price_share, partial, out=partial)
+            curves -= partial
         return curves
 
 

@@ -114,7 +114,8 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     profile = StrategyProfile.uniform(n, n_bids) if config.init is None else config.init
     cdf = engine.cdf_table(profile.weights)  # raises ValueError on a wrongly shaped init
     agent_cdf = cdf[:n]  # a view; the last row stays all ones
-    levels = np.arange(n_bids + 1)
+    # above[b, j] is j > b: row b is a window onto one shared step, read backwards, so no table is built
+    above = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n_bids + 1) > n_bids, n_bids + 1)[::-1]
     work = None  # the curves workspace: each iteration overwrites the last's, which its replies consumed
 
     renormalizations = 0
@@ -140,7 +141,7 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
         best = best_replies(engine.curves(cdf, work))
         eta = config.rate(k)
         agent_cdf *= 1.0 - eta
-        np.add(agent_cdf, eta, out=agent_cdf, where=levels > best[:, None])
+        np.add(agent_cdf, eta, out=agent_cdf, where=above[best])
 
     return SolverResult(
         profile=profile,

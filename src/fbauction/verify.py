@@ -30,7 +30,7 @@ def best_replies(curves: np.ndarray) -> np.ndarray:
     pay the same, and another summation order can break that tie the other
     way (ROADMAP.md item 1, best replies that do not depend on summation order).
     """
-    return np.argmax(curves, axis=1)
+    return curves.argmax(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -280,6 +280,16 @@ _NAN_VALUE = {
     pytest.param({"players": [{"values": [0.1, 0.2]}, {"values": [0.1, 0.2]}], "joint": [[0.5, 0.25], [0.25]],
                   "grid": {"max": 1.0, "steps": 4}}, [],
                  "invalid input: joint must be a table whose rows have equal lengths", id="ragged-joint"),
+    pytest.param({**_PAIR, "values": [[0.1], [0.2, 0.3]]}, [],
+                 "invalid input: values must be a table whose rows have equal lengths", id="ragged-values"),
+    pytest.param({"players": [{"values": [[0.1], [0.2, 0.3]], "probs": [0.5, 0.5]}, {"values": [0.1], "probs": [1.0]}],
+                  "grid": {"max": 1.0, "steps": 4}}, [],
+                 "invalid input: player 0 values must be a table whose rows have equal lengths",
+                 id="ragged-player-values"),
+    pytest.param({"players": [{"values": [0.1, 0.2], "probs": [0.5, 0.5]},
+                              {"values": [0.1], "probs": [[1.0], [0.0, 1.0]]}], "grid": {"max": 1.0, "steps": 4}}, [],
+                 "invalid input: player 1 probabilities must be a table whose rows have equal lengths",
+                 id="ragged-player-probabilities"),
     pytest.param({"players": [], "grid": {"max": 1.0, "steps": 4}}, [], "invalid input: need at least one player",
                  id="no-players"),
     pytest.param({"players": [], "joint": [], "grid": {"max": 1.0, "steps": 4}}, [],

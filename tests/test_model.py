@@ -308,6 +308,20 @@ def test_player_auction_names_a_ragged_joint_table():
         PlayerAuction(value_sets, [[0.5, 0.25], ["0.25"]])  # a cell that is no number still names its place
 
 
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda ragged: BidGrid(ragged), "bid levels", id="bid-levels"),
+    pytest.param(lambda ragged: AuctionInstance(ragged, (Scenario(frozenset({0, 1}), 1.0),), BidGrid.uniform(1.0, 4)),
+                 "values", id="values"),
+    pytest.param(lambda ragged: PlayerAuction((ragged,), [0.5, 0.5]), "player 0 values", id="player-values"),
+    pytest.param(lambda ragged: PlayerAuction.independent([[0.1, 0.2], [0.3]], [[0.5, 0.5], ragged]),
+                 "player 1 probabilities", id="player-probabilities"),
+])
+def test_ragged_number_fields_name_the_field(build, field):
+    # numpy's own text for nested lists of unequal length names no field
+    with pytest.raises(ValueError, match=f"^{field} must be a table whose rows have equal lengths$"):
+        build([[0.0], [0.5, 1.0]])
+
+
 def test_player_auction_rejects_empty_value_set():
     with pytest.raises(ValueError):
         PlayerAuction((np.array([]),), np.array([1.0]))

@@ -20,6 +20,7 @@ from fbauction import (
     certify,
     example_1,
     example_3,
+    example_4,
     random_instance,
     run,
 )
@@ -217,8 +218,16 @@ def test_simplex_preserved_across_many_steps():
     assert result.renormalizations == 0
 
 
-@pytest.mark.parametrize("named, ties", [(example_1(), True), (random_instance(0), False)],
-                         ids=["example-1", "random-0"])
+def _example_1_at_half():
+    named = example_1()
+    return dataclasses.replace(named, instance=dataclasses.replace(named.instance, rule=PaymentRule(0.5)))
+
+
+# examples 3 and 4 gather rival-set products (4 through its players' mixtures), and alpha 0.5 takes the
+# second-price tail of the curves
+@pytest.mark.parametrize("named, ties", [(example_1(), True), (random_instance(0), False), (example_3(), True),
+                                         (example_4(), True), (_example_1_at_half(), True)],
+                         ids=["example-1", "random-0", "example-3", "example-4", "example-1-alpha0.5"])
 def test_run_matches_the_update_rule_on_strategy_weights(monkeypatch, named, ties):
     """``run`` carries CDF tables; replaying its best replies on the weights
     themselves, ``w <- (1 - eta) w + eta e_best``, gives the same profile.
