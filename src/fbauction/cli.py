@@ -304,7 +304,9 @@ def _add_random_args(parser: argparse.ArgumentParser) -> None:
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-steps", type=int, help="rebuild the grid with this many steps")
     parser.add_argument("--alpha", type=float, help="payment rule mix (1 = pay-as-bid)")
-    parser.add_argument("--eta-kind", choices=SolverConfig.SCHEDULES, help="learning-rate schedule")
+    parser.add_argument("--eta-kind", choices=SolverConfig.SCHEDULES,
+                        help="step size after k steps: harmonic --eta-c/(k+1), linear --eta-c*2/(k+2), constant "
+                             "--eta-c (default: the instance's recommended schedule)")
     parser.add_argument("--eta-c", type=float, help="schedule coefficient")
     parser.add_argument("--max-iters", type=int, help="iteration budget")
     parser.add_argument("--eps-target", type=float, help="stop once the certificate reaches this epsilon")

@@ -53,11 +53,14 @@ class NamedInstance:
     expected_epsilon: float | None = None
 
 
-def _recommended(max_iterations: int) -> SolverConfig:
-    # equal-weight averaging of past best replies; measured to reach the
-    # expected_epsilon values below, while constant or small-coefficient
-    # schedules stall orders of magnitude higher on these instances
-    return SolverConfig(schedule="harmonic", coefficient=1.0, max_iterations=max_iterations)
+def _recommended(max_iterations: int, schedule: str) -> SolverConfig:
+    # each example gets the schedule that first reached its expected_epsilon
+    # sooner, checked every 1000 iterations (harmonic -> linear): example 1
+    # 64k -> 88k, so harmonic; examples 2-5 630k -> 228k, 83k -> 7k,
+    # 48k -> 8k and 21k -> 18k, so linear. Random instances keep harmonic:
+    # linear read higher at 5e4 iterations on seeds 0 and 1. Constant or
+    # small-coefficient schedules stall orders of magnitude higher
+    return SolverConfig(schedule=schedule, coefficient=1.0, max_iterations=max_iterations)
 
 
 def _agent_form(values, member_sets, grid: BidGrid) -> AuctionInstance:
@@ -74,7 +77,7 @@ def example_1() -> NamedInstance:
     [0, 1/2], where their payoff is flat at 0.5.
     """
     instance = _agent_form([0.0, 0.0, 1.0, 1.0], [(0, 1), (2, 3), (0, 3), (1, 2)], BidGrid.uniform(1.0, 400))
-    return NamedInstance("example-1", instance, _recommended(100_000), expected_epsilon=8e-5)
+    return NamedInstance("example-1", instance, _recommended(100_000, "harmonic"), expected_epsilon=8e-5)
 
 
 def example_2() -> NamedInstance:
@@ -84,7 +87,7 @@ def example_2() -> NamedInstance:
     agents 0 and 2 each half the time, and never against each other.
     """
     instance = _agent_form([1.0 / 3.0, 2.0 / 3.0, 1.0], [(0, 1), (1, 2)], BidGrid.uniform(1.0, 600))
-    return NamedInstance("example-2", instance, _recommended(1_000_000), expected_epsilon=8.84e-4)
+    return NamedInstance("example-2", instance, _recommended(1_000_000, "linear"), expected_epsilon=6.26e-4)
 
 
 def example_3() -> NamedInstance:
@@ -94,7 +97,7 @@ def example_3() -> NamedInstance:
     grand scenario with all four agents.
     """
     instance = _agent_form([0.25, 0.5, 0.5, 1.0], [(0, 1), (1, 2), (0, 2), (0, 1, 2, 3)], BidGrid.uniform(1.0, 400))
-    return NamedInstance("example-3", instance, _recommended(100_000), expected_epsilon=2.5e-3)
+    return NamedInstance("example-3", instance, _recommended(100_000, "linear"), expected_epsilon=1.09e-4)
 
 
 def _converted(name: str, players: PlayerAuction, max_iterations: int, expected: float) -> NamedInstance:
@@ -102,7 +105,7 @@ def _converted(name: str, players: PlayerAuction, max_iterations: int, expected:
     # resolution matches example 1's 1/400 relative step
     top = float(max(vs[-1] for vs in players.value_sets))
     instance = AuctionInstance(*convert_player_to_agent(players)[:2], BidGrid.uniform(top, 400))
-    return NamedInstance(name, instance, _recommended(max_iterations), expected_epsilon=expected)
+    return NamedInstance(name, instance, _recommended(max_iterations, "linear"), expected_epsilon=expected)
 
 
 def example_4() -> NamedInstance:
@@ -115,7 +118,7 @@ def example_4() -> NamedInstance:
         value_sets=[[0.1, 0.2, 0.25]] * 3,
         marginals=[[0.25, 0.25, 0.5], [0.05, 0.45, 0.5], [0.05, 0.45, 0.5]],
     )
-    return _converted("example-4", players, 100_000, expected=4e-5)
+    return _converted("example-4", players, 100_000, expected=2.95e-5)
 
 
 def example_5() -> NamedInstance:
@@ -128,7 +131,7 @@ def example_5() -> NamedInstance:
         value_sets=[[0.1, 0.25], [0.1, 0.2, 0.25]],
         marginals=[[0.25, 0.75], [0.05, 0.45, 0.5]],
     )
-    return _converted("example-5", players, 100_000, expected=1.06e-3)
+    return _converted("example-5", players, 100_000, expected=8.68e-4)
 
 
 def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> NamedInstance:
@@ -159,7 +162,7 @@ def random_instance(seed: int, n_agents: int = 10, n_scenarios: int = 20) -> Nam
     if covered.size < n_agents:
         warnings.warn(f"seed {seed}: {n_agents - covered.size} of {n_agents} agents drew no scenario and were dropped")
     instance = _agent_form(values[covered], members.reshape(pairs.shape).tolist(), grid)
-    return NamedInstance(f"random-seed{seed}", instance, _recommended(1_000_000))
+    return NamedInstance(f"random-seed{seed}", instance, _recommended(1_000_000, "harmonic"))
 
 
 BUILTIN_EXAMPLES = {

@@ -20,6 +20,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -53,10 +54,15 @@ def _table_problem(*dims: tuple[int, str]) -> str | None:
 
 
 def _number(x, what: str):
-    """``x``, or ``ValueError`` naming ``what`` unless it is an int or a float (a bool, read as 0 or 1, is not)."""
+    """``x``, or ``ValueError`` naming ``what`` unless it is an int or a float (a bool, read as 0 or 1, is not).
+
+    A Python int beyond the float range is refused too: numpy would raise ``OverflowError`` converting it.
+    """
     if type(x) is float:  # the common case, e.g. once per Scenario
         return x
     if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        if isinstance(x, int) and abs(x) > sys.float_info.max:
+            raise ValueError(f"{what} must be a number in the float range, got an integer of {x.bit_length()} bits")
         return x
     raise ValueError(f"{what} must be a number, got {x!r}")
 

@@ -14,8 +14,10 @@ the last (the start itself when no step runs); both operations are monotone in
 floating point, so the weights are never negative.
 
 With ``eta_k = 1/(k+1)`` the profile is the running empirical frequency of
-past best replies (classical fictitious play); with constant ``eta`` it is an
-exponential moving average that progressively forgets the initialization.
+past best replies (classical fictitious play); with ``eta_k = 2/(k+2)`` it is
+their frequency weighted by iteration, later replies counting more; with
+constant ``eta`` it is an exponential moving average that progressively
+forgets the initialization.
 Replies are picked by :func:`~fbauction.verify.best_replies`, the rule the
 certificate uses, so a run is deterministic for one build.
 """
@@ -36,11 +38,13 @@ class SolverConfig:
     """Everything needed to reproduce a solver run.
 
     The step size after ``k`` steps is ``coefficient / (k+1)`` when
-    ``schedule`` is ``"harmonic"`` and ``coefficient`` when it is
-    ``"constant"``. The default, harmonic with coefficient 1, weighs every
-    past best reply equally and wipes the initialization on the first step;
-    small coefficients leave most of the initialization in place forever, so
-    use them deliberately.
+    ``schedule`` is ``"harmonic"``, ``coefficient * 2 / (k+2)`` when it is
+    ``"linear"`` and ``coefficient`` when it is ``"constant"``. The default,
+    harmonic with coefficient 1, weighs every past best reply equally; linear
+    with coefficient 1 weighs reply ``i`` (counted from 0) in proportion to
+    ``i + 1``, as CFR+ averages its iterates. Both wipe the initialization on
+    the first step. Small coefficients leave most of the initialization in
+    place forever, so use them deliberately.
 
     ``init`` is the starting :class:`StrategyProfile`, or ``None`` for the
     uniform one. ``max_iterations`` and ``check_interval`` are whole numbers.
@@ -51,7 +55,7 @@ class SolverConfig:
     ignored: the payoff engine has one aggregation row per agent.
     """
 
-    SCHEDULES = ("harmonic", "constant")  # a class constant, not a field
+    SCHEDULES = ("harmonic", "linear", "constant")  # a class constant, not a field
     schedule: str = "harmonic"
     coefficient: float = 1.0
     max_iterations: int = 100_000
@@ -78,7 +82,11 @@ class SolverConfig:
 
     def rate(self, k: int) -> float:
         """The step size after ``k`` steps."""
-        return self.coefficient / (k + 1) if self.schedule == "harmonic" else self.coefficient
+        if self.schedule == "harmonic":
+            return self.coefficient / (k + 1)
+        if self.schedule == "linear":
+            return self.coefficient * 2 / (k + 2)
+        return self.coefficient
 
     def echo(self) -> dict:
         """JSON-friendly snapshot of the configuration."""

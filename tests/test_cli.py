@@ -499,6 +499,7 @@ def test_solve_unreached_target_exits_3(tmp_path):
     # a lone flag keeps the recommended value of the other field
     pytest.param(["--eta-kind", "constant"], {"kind": "constant", "coefficient": 1.0}, id="kind-alone"),
     pytest.param(["--eta-c", "0.5"], {"kind": "harmonic", "coefficient": 0.5}, id="coefficient-alone"),
+    pytest.param(["--eta-kind", "linear"], {"kind": "linear", "coefficient": 1.0}, id="linear"),
 ])
 def test_solve_file_instance_with_overrides(tmp_path, flags, schedule):
     source = tmp_path / "ex1.json"
@@ -607,6 +608,22 @@ def test_show_prints_instance(capsys):
     assert doc["instance"]["values"] == pytest.approx([1 / 3, 2 / 3, 1.0])
     assert doc["instance"]["grid"] == {"max": 1.0, "steps": 600}
     assert doc["recommended_config"]["max_iterations"] == 1_000_000
+    assert doc["recommended_config"]["schedule"] == {"kind": "linear", "coefficient": 1.0}
+
+
+# a JSON integer beyond the float range, which numpy refuses to convert with an OverflowError
+@pytest.mark.parametrize("doc, field", [
+    pytest.param({**_PAIR, "values": [10**400, 0.3]}, "values[0]", id="value"),
+    pytest.param({**_PAIR, "grid": {"max": 10**400, "steps": 4}}, "grid.max", id="grid-max"),
+    pytest.param({"players": [{"values": [0.1, -10**400], "probs": [0.5, 0.5]}, {"values": [0.1], "probs": [1.0]}],
+                  "grid": {"max": 1.0, "steps": 4}}, "player 0 values[1]", id="player-value"),
+])
+def test_show_integer_beyond_float_range_exits_2(tmp_path, capsys, doc, field):
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["show", "--file", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid input: {field} must be a number in the float range, got an integer of 1329 bits"]
 
 
 def test_batch_bad_flag_exits_2_with_no_seeds(tmp_path, capsys):

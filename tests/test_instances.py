@@ -44,6 +44,14 @@ def test_every_builtin_validates():
         assert sum(s.prob for s in named.instance.scenarios) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_recommended_schedules():
+    # each example takes the schedule that first reached its expected_epsilon sooner
+    assert {key: get_example(key).config.schedule for key in "12345"} == {
+        "1": "harmonic", "2": "linear", "3": "linear", "4": "linear", "5": "linear"}
+    assert random_instance(0).config.schedule == "harmonic"
+    assert all(get_example(key).config.coefficient == 1.0 for key in "12345")
+
+
 def test_example_1_structure():
     named = example_1()
     inst = named.instance

@@ -48,6 +48,10 @@ def test_schedule_rates():
     harmonic = SolverConfig(schedule="harmonic", coefficient=1.0)
     assert harmonic.rate(0) == 1.0
     assert harmonic.rate(3) == 0.25
+    linear = SolverConfig(schedule="linear", coefficient=1.0)
+    assert linear.rate(0) == 1.0  # the first step wipes the start
+    assert linear.rate(2) == 0.5
+    assert SolverConfig(schedule="linear", coefficient=0.5).rate(2) == 0.25
     constant = SolverConfig(schedule="constant", coefficient=0.05)
     assert constant.rate(0) == constant.rate(10**6) == 0.05
     with pytest.raises(ValueError, match="coefficient must lie in"):
@@ -275,21 +279,31 @@ def test_weights_stay_exactly_on_the_simplex_through_ties():
     assert result.renormalizations == 0
 
 
+def _assert_weighted_reply_frequencies(config, weight, steps=400):
+    """From a point-mass start on example 1, the weights after each of ``steps`` steps are the
+    frequencies of the best replies so far, reply ``i`` (counted from 0) weighted by ``weight(i)``."""
+    inst = example_1().instance
+    config = dataclasses.replace(config, init=point_mass_profile(4, inst.n_bids))
+    counts = np.zeros((4, inst.n_bids))
+    total = 0.0
+    profile = config.init
+    for k in range(steps):
+        counts[np.arange(4), certify(profile, inst).best_response_bids] += weight(k)
+        total += weight(k)
+        profile = run(inst, dataclasses.replace(config, max_iterations=k + 1)).profile
+        replayed = counts / total
+        assert np.abs(profile.weights - replayed).max() <= 1e-12 * (k + 1)
+
+
 def test_classical_fp_mode_counts_best_responses():
     """With equal-weight averaging, weights are exactly the best-reply
     frequencies of the run so far, replayed here step by step."""
-    named = example_1()
-    inst = named.instance
-    config = _classical_fp(named)
+    _assert_weighted_reply_frequencies(_classical_fp(example_1()), lambda i: 1.0)
 
-    steps = 400
-    counts = np.zeros((4, inst.n_bids))
-    profile = point_mass_profile(4, inst.n_bids)
-    for k in range(steps):
-        counts[np.arange(4), certify(profile, inst).best_response_bids] += 1.0
-        profile = run(inst, dataclasses.replace(config, max_iterations=k + 1)).profile
-        replayed = counts / (k + 1)
-        assert np.abs(profile.weights - replayed).max() <= 1e-12 * (k + 1)
+
+def test_linear_schedule_weights_replies_by_iteration():
+    """With linear averaging, reply ``i`` carries weight ``2 (i + 1) / (k (k + 1))`` after ``k`` steps."""
+    _assert_weighted_reply_frequencies(SolverConfig(schedule="linear", coefficient=1.0), lambda i: i + 1.0)
 
 
 def test_classical_fp_first_step_is_pure_best_response():
