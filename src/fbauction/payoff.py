@@ -17,10 +17,13 @@ Everything is evaluated in closed form from the rivals' strict CDFs,
 scenario distribution is a product over independent players, so
 :meth:`PayoffEngine.curves` takes a profile as its strict-CDF table: the
 solver carries that table from iteration to iteration, other callers build
-it with ``cdf_table``. The matrix products that mix the rival sets (and the
-players' agents) sum in an order the BLAS library picks; the tests check the
-same CSV bytes with 1 and 2 BLAS threads on one machine, not across BLAS
-builds.
+it with ``cdf_table``. The dense matrix products that mix the rival sets
+into the agents (and the players' agents into players) sum in an order the
+BLAS library picks; the tests check the same CSV bytes with 1 and 2 BLAS
+threads on one machine, not across BLAS builds. Where the engine sums each
+agent's few rival sets itself (the slot sum, on sparse instances), it adds
+them in ascending column order with elementwise ufuncs, the same order on
+every build.
 """
 from __future__ import annotations
 
@@ -30,6 +33,15 @@ import numpy as np
 
 from .model import (AuctionInstance, InvalidInstanceError, Scenario, StrategyProfile, _table_problem,
                     participation_probabilities)
+
+
+# The slot sum beats the dense BLAS product below SLOT_SUM_DENSITY of nonzero
+# cells in the agents x columns aggregation matrix, and below half that share
+# once an agents x levels table outgrows SLOT_SUM_CACHE_CELLS (800 kB), where
+# its gathers and adds run from memory rather than the L2 cache: the crossover
+# measured with BLAS at 1 thread on a 2-core Xeon
+SLOT_SUM_DENSITY = 1 / 32
+SLOT_SUM_CACHE_CELLS = 100_000
 
 
 class ConditionalScenarioTable(tuple):
@@ -81,6 +93,32 @@ def _player_labels(instance: AuctionInstance, mass: np.ndarray, rivals: list[fro
     return labels
 
 
+def _slot_sum_plan(n: int, entries: list[tuple[int, int, float]], levels: int):
+    """The slot sum's layout of the nonzero ``(agent, column, weight)`` entries.
+
+    The agents are ranked by their entry count, descending and stable. Slot
+    ``s`` holds the ``s``-th column (ascending) of every agent with more than
+    ``s`` entries, in rank order, so it covers a prefix of the ranking.
+    Returns one ``(columns, weights)`` pair per slot, each weight repeated
+    over the levels (a multiply by a broadcast weight column took 1.5x as
+    long on a 195-agent pair auction), and each agent's rank, its row in
+    slot 0.
+    """
+    agent, col, weight = map(np.array, zip(*entries))
+    by_agent = np.lexsort((col, agent))
+    agent, col, weight = agent[by_agent], col[by_agent], weight[by_agent]
+    counts = np.bincount(agent, minlength=n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(-counts, kind="stable")] = np.arange(n)
+    slot = np.arange(agent.size) - (np.cumsum(counts) - counts)[agent]
+    layout = np.lexsort((rank[agent], slot))  # slot by slot, each in rank order
+    columns, weight = col[layout].astype(np.intp), weight[layout]
+    sizes = np.bincount(slot)
+    slots = tuple((columns[start:start + size], np.repeat(weight[start:start + size], levels).reshape(size, levels))
+                  for start, size in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
+    return slots, rank
+
+
 class PayoffEngine:
     """Vectorized payoff-curve evaluator bound to one auction instance.
 
@@ -93,6 +131,19 @@ class PayoffEngine:
     (column ``n_agents`` is the all-ones row of a rival-free scenario), and
     nothing is gathered or multiplied.
 
+    When few of ``qmat``'s cells would be nonzero, as in a large auction
+    where each agent meets a few rivals, ``qmat`` is not built (``_qmat`` is
+    None) and ``curves`` sums each agent's nonzero terms itself, the *slot
+    sum*: the agents ranked by their term count, slot ``s`` holds every
+    agent's ``s``-th column (see :func:`_slot_sum_plan`), and each slot's
+    weighted rows are gathered and added onto the prefix of slot 0 they
+    cover. Each agent's terms are thus summed in ascending column order,
+    with no BLAS. "Few" is below ``SLOT_SUM_DENSITY`` of the cells, or half
+    that once an agents x levels table exceeds ``SLOT_SUM_CACHE_CELLS``;
+    denser matrices take the matrix product, which was the faster of the two
+    there. Where only one of the two fits the table limit (``qmat``, or the
+    slot sum's weight rows, nonzero weights x levels), the engine takes it.
+
     When some scenario has two or more rivals and the scenario distribution
     is a product over players (see :func:`_player_labels`), the rows are
     the players': ``curves`` mixes each player's agents' CDFs, weighted by
@@ -103,9 +154,10 @@ class PayoffEngine:
 
     ``n_groups`` counts the distinct conditional structures (rival sets and
     their probabilities) among the agents; ``dedup`` is accepted for
-    compatibility and ignored. A ``qmat`` or workspace block (2 x rival sets
-    x levels, or 3 x players x levels) above the table limit raises
-    :class:`InvalidInstanceError`.
+    compatibility and ignored. When ``qmat`` and the weight rows both exceed
+    the table limit, or a workspace block of products (2 x rival sets x
+    levels, or 3 x players x levels) does, the engine raises
+    :class:`InvalidInstanceError`; the message names the faster path's table.
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
@@ -156,15 +208,28 @@ class PayoffEngine:
             padded = [key + (n,) * (width - len(key)) for key in column]  # in column order
             slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
             n_columns = len(column)
-        problem = _table_problem((n, "agents"), (n_columns, name))
-        if slots and not problem:  # the workspace's one block of products, gathered rows and mixtures
+        levels = bids.size + 1
+        # the table each aggregation builds: qmat, or the slot sum's weight rows
+        problems = {False: _table_problem((n, "agents"), (n_columns, name)),
+                    True: _table_problem((len(entries), "nonzero weights"), (levels, "levels"))}
+        density = SLOT_SUM_DENSITY if n * levels <= SLOT_SUM_CACHE_CELLS else SLOT_SUM_DENSITY / 2
+        sparse = len(entries) < density * n * n_columns
+        if problems[sparse] and not problems[not sparse]:  # the slower one, where only it fits
+            sparse = not sparse
+        problem = problems[sparse]
+        if slots and not problem:  # the workspace's block of products, gathered rows and mixtures
             problem = _table_problem((2 if mixing is None else 3, "product buffers"), (n_columns, name),
-                                     (bids.size + 1, "levels"))
+                                     (levels, "levels"))
         if problem:
             raise InvalidInstanceError([problem])
-        qmat = np.zeros((n, n_columns))
-        for a, key, weight in entries:
-            qmat[a, column[key]] = weight
+        entries = [(a, column[key], weight) for a, key, weight in entries]
+        if sparse:
+            self._qmat, self._slot_sum = None, _slot_sum_plan(n, entries, levels)
+        else:
+            qmat = np.zeros((n, n_columns))
+            for a, col, weight in entries:
+                qmat[a, col] = weight
+            self._qmat, self._slot_sum = qmat, None
 
         self._n = n
         self._n_bids = bids.size
@@ -174,7 +239,6 @@ class PayoffEngine:
         self._bids = bids
         self._slots = slots
         self._mixing = mixing
-        self._qmat = qmat
         self._value_margin = instance.values[:, None] - self._alpha * bids[None, :]
         self.n_groups = len(set(rows))
 
@@ -207,19 +271,29 @@ class PayoffEngine:
         payment rule's alpha is below 1. ``sets`` and ``gathered``, (rival
         sets, n_bids + 1), exist only when some scenario has two or more
         rivals. On instances that factor into players they are (players,
-        n_bids + 1), and so is ``mixed``.
+        n_bids + 1), and so is ``mixed``. ``sums`` and ``terms``, (n_agents,
+        n_bids + 1), exist only on the slot sum's path.
         """
         n, levels = self._n, self._n_bids + 1
-        work = {"win": np.empty((n, levels)), "curves": np.empty((n, levels - 1))}
+        rows = {"win": n}
+        if self._slots:
+            names = ("sets", "gathered") if self._mixing is None else ("sets", "gathered", "mixed")
+            rows.update(dict.fromkeys(names, self._slots[0].size))
+        if self._slot_sum is not None:
+            rows.update(sums=n, terms=n)
+        # one block: freeing several large blocks trips glibc's adaptive trim
+        # threshold, so a fresh workspace per call faulted its pages in anew
+        # every time, which made certify 2.5x slower at 500 rival sets (1.7x
+        # on a 195-agent slot sum)
+        block = np.empty((sum(rows.values()), levels))
+        work, start = {}, 0
+        for name, size in rows.items():
+            work[name] = block[start:start + size]
+            start += size
+        work["curves"] = np.empty((n, levels - 1))
         if self._use_mixture:
             # partial's first column is never written, so it stays 0: nothing rivals pay below the lowest level
             work.update(pmf=np.empty((n, levels - 1)), partial=np.zeros((n, levels - 1)))
-        if self._slots:
-            # one block: freeing two equal blocks trips glibc's adaptive trim
-            # threshold, so a fresh workspace per call faulted its pages in
-            # anew every time, which made certify 2.5x slower at 500 rival sets
-            names = ("sets", "gathered") if self._mixing is None else ("sets", "gathered", "mixed")
-            work.update(zip(names, np.empty((len(names), self._slots[0].size, levels))))
         return work
 
     def curves(self, below: np.ndarray, work: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -246,7 +320,23 @@ class PayoffEngine:
             for slot in self._slots[1:]:
                 factors.take(slot, axis=0, out=gathered, mode="clip")
                 set_win *= gathered
-        win = np.matmul(self._qmat, set_win, out=work["win"])  # conditional mixture, per agent
+        if self._slot_sum is None:                    # conditional mixture, per agent
+            win = np.matmul(self._qmat, set_win, out=work["win"])
+        else:
+            # the slot sum: slot 0's weighted rows, then each later slot's
+            # added onto the prefix it covers, so each agent's terms sum in
+            # ascending column order; the ranks put the sums in agent order
+            slots, rank = self._slot_sum
+            (columns, weights), *later = slots
+            sums, terms = work["sums"], work["terms"]
+            set_win.take(columns, axis=0, out=sums, mode="clip")
+            sums *= weights
+            for columns, weights in later:
+                head, part = sums[:columns.size], terms[:columns.size]
+                set_win.take(columns, axis=0, out=part, mode="clip")
+                part *= weights
+                head += part
+            win = sums.take(rank, axis=0, out=work["win"], mode="clip")
         curves = np.multiply(self._value_margin, win[:, :-1], out=work["curves"])
         if self._use_mixture:
             # the operations of np.diff, a product, np.cumsum and a scaled

@@ -62,16 +62,21 @@ def brute_force_curves(profile: StrategyProfile, instance: AuctionInstance, max_
 
 
 def gathered_curves(engine: PayoffEngine, instance: AuctionInstance, below: np.ndarray) -> np.ndarray:
-    """Reference for ``PayoffEngine.curves`` on the engine's aggregation and
-    margin tables, with the rival sets' CDF products formed by one gather,
-    ``rows[set_members].prod(axis=1)``, in place of slot by slot.
+    """Reference for ``PayoffEngine.curves``: the engine's margin table, the
+    rival sets' CDF products formed by one gather,
+    ``rows[set_members].prod(axis=1)``, in place of slot by slot, and one
+    dense product with an aggregation matrix rebuilt here, whichever
+    aggregation the engine takes.
 
     When the engine factors the instance into players (its ``_mixing`` is
-    set), ``rows`` are the player mixtures ``_mixing @ below`` and each
-    player's set is every other player in ascending order; otherwise
-    ``rows`` is ``below`` and ``set_members`` is rebuilt from the instance:
-    the rival sets in order of first appearance (the engine's column order),
-    each ascending and padded with row ``n_agents``, the all-ones row.
+    set), ``rows`` are the player mixtures ``_mixing @ below``, player
+    ``p``'s set is every other player in ascending order, and an agent's
+    weight 1 sits in its player's column. Otherwise ``rows`` is ``below``,
+    and the columns are the instance's rival sets in order of first
+    appearance (the engine's column order), each ascending and padded with
+    row ``n_agents``, the all-ones row, or the CDF rows themselves when no
+    set has two members; an agent's weight in a column is its conditional
+    probability of facing that set.
     """
     n = instance.n_agents
     if engine._mixing is not None:
@@ -79,16 +84,24 @@ def gathered_curves(engine: PayoffEngine, instance: AuctionInstance, below: np.n
         n_players = rows.shape[0]
         set_members = np.array([[q for q in range(n_players) if q != p] for p in range(n_players)])
         set_win = rows[set_members].prod(axis=1)
+        qmat = (engine._mixing[:, :n] > 0).T * 1.0  # one 1 per agent, in its player's column
     else:
-        sets = {tuple(sorted(s.members - {a})): None for a, items in enumerate(conditional_scenarios(instance))
-                for s, _q in items}
+        faced = [[(tuple(sorted(s.members - {a})), q) for s, q in items]
+                 for a, items in enumerate(conditional_scenarios(instance))]
+        sets = {rivals: None for items in faced for rivals, _q in items}
         width = max(map(len, sets))
         if width > 1:
             set_members = np.array([rivals + (n,) * (width - len(rivals)) for rivals in sets])
             set_win = below[set_members].prod(axis=1)
+            column = {rivals: i for i, rivals in enumerate(sets)}
         else:
             set_win = below
-    win = engine._qmat @ set_win
+            column = {rivals: rivals[0] if rivals else n for rivals in sets}
+        qmat = np.zeros((n, set_win.shape[0]))
+        for a, items in enumerate(faced):
+            for rivals, q in items:
+                qmat[a, column[rivals]] = q
+    win = qmat @ set_win
     curves = engine._value_margin * win[:, :-1]
     if engine._use_mixture:
         top_pmf = np.diff(win, axis=1)

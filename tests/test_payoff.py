@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ from fbauction import (
     PaymentRule,
     PlayerAuction,
     Scenario,
+    SolverConfig,
     StrategyProfile,
     all_payoff_curves,
     conditional_scenarios,
@@ -31,6 +33,7 @@ from fbauction import (
     example_4,
     get_example,
     participation_probabilities,
+    random_instance,
     run,
 )
 
@@ -233,6 +236,146 @@ def test_engine_finds_the_players_whatever_the_agent_numbering(seed):
 def test_engine_keeps_the_rival_sets_of_instances_that_do_not_factor(build):
     engine = PayoffEngine(build())
     assert engine._mixing is None
+
+
+# --- the slot sum: sparse aggregation ------------------------------------------
+
+
+def _random_pairs(seed: int, n_agents: int, n_scenarios: int, steps: int = 100) -> AuctionInstance:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # agents that draw no pair are dropped with a warning
+        inst = random_instance(seed, n_agents, n_scenarios).instance
+    return AuctionInstance(inst.values, inst.scenarios, BidGrid.uniform(1.0, steps), inst.rule)
+
+
+def _few_bid_profile(rng, n_agents: int, n_bids: int) -> StrategyProfile:
+    """Each agent mixes over at most three bids, so the brute-force oracle stays cheap."""
+    w = np.zeros((n_agents, n_bids))
+    for a in range(n_agents):
+        w[a, rng.choice(n_bids, size=3, replace=False)] = rng.random(3) + 0.1
+    return StrategyProfile.from_matrix(w / w.sum(axis=1, keepdims=True))
+
+
+_DENSE_AGGREGATION = {
+    **{f"example-{n}": lambda n=n: get_example(n).instance for n in "12345"},
+    **{f"random-seed{seed}": lambda seed=seed: _random_pairs(seed, 10, 20) for seed in range(10)},
+    "players-4x5": lambda: _converted(_random_independent_players(0, 4, 5), steps=400),
+}
+
+
+@pytest.mark.parametrize("build", _DENSE_AGGREGATION.values(), ids=_DENSE_AGGREGATION.keys())
+def test_small_instances_keep_the_matrix_product(build):
+    engine = PayoffEngine(build())
+    assert engine._slot_sum is None and engine._qmat is not None
+
+
+def test_a_large_pair_auction_takes_the_slot_sum():
+    # 195 agents x 196 CDF rows with 794 nonzeros (2.1%), at most 9 per agent
+    engine = PayoffEngine(_random_pairs(0, 200, 400))
+    assert engine._qmat is None
+    slots, rank = engine._slot_sum
+    assert [columns.size for columns, _weights in slots] == [195, 182, 159, 115, 65, 40, 20, 11, 7]
+    assert sorted(rank.tolist()) == list(range(195))
+
+
+@pytest.mark.parametrize("n_agents", [150, 250, 400])
+def test_slot_sum_matches_a_dense_product_and_brute_force(n_agents):
+    rng = np.random.default_rng(n_agents)
+    for steps in (100, 400):
+        base = _random_pairs(n_agents, n_agents, 2 * n_agents, steps)
+        profile = _few_bid_profile(rng, base.n_agents, base.n_bids)
+        scale = np.abs(base.values).max()
+        for alpha in (1.0, 0.5, 0.0):
+            inst = _at_alpha(base, alpha)
+            engine = PayoffEngine(inst)
+            assert engine._slot_sum is not None
+            table = engine.cdf_table(profile.weights)
+            curves = engine.curves(table)
+            assert np.abs(curves - gathered_curves(engine, inst, table)).max() <= 1e-15 * scale
+            assert np.abs(curves - brute_force_curves(profile, inst)).max() <= 1e-12
+
+
+def test_agents_with_equal_conditional_rows_get_bit_identical_curves():
+    # agents 0 and 1 hold one value and each meet agents 2-5 with equal
+    # probabilities; a chain over agents 2-199 makes the instance sparse.
+    # The slot sum adds both rows' terms in one order; a BLAS product sums
+    # each row by its position, so there the two can differ in the last bit
+    n = 200
+    values = np.random.default_rng(3).uniform(size=n)
+    values[1] = values[0]
+    member_sets = [(a, rival) for a in (0, 1) for rival in range(2, 6)] + [(a, a + 1) for a in range(2, n - 1)]
+    inst = _instance(values, member_sets, [1 / len(member_sets)] * len(member_sets), np.linspace(0.0, 1.0, 101))
+    engine = PayoffEngine(inst)
+    assert engine._slot_sum is not None
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        curves = engine.curves(engine.cdf_table(random_profile(rng, n, inst.n_bids).weights))
+        assert np.array_equal(curves[0], curves[1])
+
+
+def test_a_pair_auction_beyond_the_dense_table_limit_solves():
+    # as a dense matrix its 4891 agents x 4892 CDF rows exceed the table
+    # limit; the slot sum's weight rows are 19 992 nonzeros x 102 levels
+    inst = _random_pairs(0, 5000, 10_000)
+    result = run(inst, SolverConfig(max_iterations=20))
+    assert result.iterations_run == 20
+    assert np.isfinite(result.certificate.epsilon)
+
+
+def test_the_engine_takes_the_aggregation_that_fits_the_table_limit(monkeypatch):
+    # pairs-200x400: the slot sum's weight rows are 794 nonzeros x 102
+    # levels, the dense matrix 195 agents x 196 CDF rows
+    inst = _random_pairs(0, 200, 400)
+    profile = _few_bid_profile(np.random.default_rng(0), inst.n_agents, inst.n_bids)
+    table = PayoffEngine(inst).cdf_table(profile.weights)
+    slot_sum = PayoffEngine(inst).curves(table)
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 794 * 102 - 1)
+    engine = PayoffEngine(inst)
+    assert engine._slot_sum is None and engine._qmat.shape == (195, 196)
+    assert np.abs(engine.curves(table) - slot_sum).max() <= 1e-15 * np.abs(inst.values).max()
+    limit = 195 * 196 - 1  # neither fits: the message names the faster path's table
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", limit)
+    with pytest.raises(InvalidInstanceError) as raised:
+        PayoffEngine(inst)
+    assert raised.value.problems == [f"794 nonzero weights x 102 levels exceed the {limit}-cell table limit"]
+    with pytest.raises(InvalidInstanceError):
+        run(inst, SolverConfig(max_iterations=1))
+    # a 10-agent pair auction on a 2-bid grid (3 levels) prefers its dense matrix;
+    # below that matrix's size it takes the slot sum, whose rows still fit
+    small = _random_pairs(0, 10, 20, steps=1)
+    nonzeros = np.count_nonzero(PayoffEngine(small)._qmat)
+    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 3 * nonzeros)
+    assert PayoffEngine(small)._slot_sum is not None
+
+
+def test_a_sparse_pair_auction_on_a_fine_grid_keeps_the_matrix_product():
+    # 984 agents on 3000 steps: the slot sum's weight rows, 3998 nonzeros x
+    # 3001 levels, exceed the table limit; the dense 984 x 985 matrix fits
+    inst = _random_pairs(0, 1000, 2000, steps=3000)
+    engine = PayoffEngine(inst)
+    assert engine._slot_sum is None and engine._qmat.shape == (984, 985)
+
+
+def test_slot_sum_over_player_mixtures():
+    # one scenario of 33 agents, each its own player: one 1 per agent in a
+    # 33 x 33 matrix, sparse enough for the slot sum over the player mixtures
+    n = 33
+    rng = np.random.default_rng(33)
+    inst = _instance(rng.uniform(size=n), [tuple(range(n))], [1.0], np.linspace(0.0, 1.0, 21))
+    w = np.zeros((n, inst.n_bids))
+    w[np.arange(n), rng.integers(inst.n_bids, size=n)] = 1.0
+    for a in range(8):  # 2 ** 8 rival outcomes keep the brute force cheap
+        w[a] = 0.0
+        w[a, rng.choice(inst.n_bids, size=2, replace=False)] = 0.5
+    profile = StrategyProfile.from_matrix(w)
+    for alpha in (1.0, 0.5):
+        at_alpha = _at_alpha(inst, alpha)
+        engine = PayoffEngine(at_alpha)
+        assert engine._mixing is not None and engine._slot_sum is not None
+        table = engine.cdf_table(profile.weights)
+        curves = engine.curves(table)
+        assert np.abs(curves - gathered_curves(engine, at_alpha, table)).max() <= 1e-15
+        assert np.abs(curves - brute_force_curves(profile, at_alpha)).max() <= 1e-12
 
 
 def test_curves_rejects_a_weight_matrix():
