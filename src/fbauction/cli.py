@@ -236,6 +236,7 @@ def cmd_solve(args, loaded) -> int:
         "duration_seconds": duration,
         "iterations_run": result.iterations_run,
         "renormalizations": result.renormalizations,
+        "segments": result.segments,
         "trajectory": [[k, eps] for k, eps in result.trajectory],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -247,6 +247,16 @@ class PayoffEngine:
         """The instance this engine evaluates, or None once it has been freed."""
         return self._instance()
 
+    @property
+    def affine(self) -> bool:
+        """Whether :meth:`curves` is affine in the CDF table, up to rounding.
+
+        It is when no scenario has two or more rivals: the engine then
+        multiplies no CDF rows together, so on the line between two tables
+        the curves lie on the line between theirs.
+        """
+        return not self._slots
+
     def cdf_table(self, weights: np.ndarray) -> np.ndarray:
         """The strict-CDF table of a strategy matrix, the input of :meth:`curves`.
 

@@ -14,10 +14,16 @@ from fbauction import (
     PaymentRule,
     PlayerAuction,
     Scenario,
+    SolverConfig,
+    SolverResult,
     StrategyProfile,
+    certify,
     conditional_scenarios,
     participation_probabilities,
 )
+from fbauction.model import PROB_TOL
+from fbauction.payoff import engine_for
+from fbauction.verify import best_replies
 
 
 def point_mass_profile(n_agents: int, n_bids: int, bid_index: int = 0) -> StrategyProfile:
@@ -124,6 +130,45 @@ def write_grid_csv_by_line(path: Path, instance: AuctionInstance, **columns: np.
         for bid, *cells in zip(bids, *rows):
             lines.append(",".join([str(a), bid, *map(fmt, cells)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def step_loop_run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
+    """Reference for ``run``: fictitious bidding one step per iteration, one
+    ``curves`` call per step, as ``run`` did before it jumped over the steps
+    in which no reply changes; every segment is one step."""
+    engine = engine_for(instance)
+    n, n_bids = instance.n_agents, instance.n_bids
+    profile = StrategyProfile.uniform(n, n_bids) if config.init is None else config.init
+    cdf = engine.cdf_table(profile.weights)
+    agent_cdf = cdf[:n]
+    above = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n_bids + 1) > n_bids, n_bids + 1)[::-1]
+    work = None
+    renormalizations = 0
+    trajectory: list[tuple[int, float]] = []
+    last = config.max_iterations
+    for k in range(last + 1):
+        if k == last or k and not k % config.check_interval:
+            work = None
+            if k:
+                totals = agent_cdf[:, -1]
+                bad = np.abs(totals - 1.0) > PROB_TOL
+                if bad.any():
+                    agent_cdf[bad] /= totals[bad, None]
+                    renormalizations += int(bad.sum())
+                profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
+            certificate = certify(profile, instance)
+            trajectory.append((k, certificate.epsilon))
+            if k == last or config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
+                break
+        if work is None:
+            work = engine.workspace()
+        best = best_replies(engine.curves(cdf, work))
+        eta = config.rate(k)
+        agent_cdf *= 1.0 - eta
+        np.add(agent_cdf, eta, out=agent_cdf, where=above[best])
+    k = trajectory[-1][0]
+    return SolverResult(profile=profile, iterations_run=k, certificate=certificate, trajectory=tuple(trajectory),
+                        renormalizations=renormalizations, segments=k)
 
 
 def random_small_instance(rng, max_agents=4, max_scenarios=5, max_grid=20, alpha=1.0) -> AuctionInstance:

@@ -66,6 +66,9 @@ def test_solve_writes_all_artifacts(solved):
     assert manifest["config"]["schedule"] == {"kind": "harmonic", "coefficient": 1.0}
     assert manifest["iterations_run"] == 400
     assert [k for k, _ in manifest["trajectory"]] == [100, 200, 300, 400]
+    named = example_1()
+    config = dataclasses.replace(named.config, max_iterations=400, check_interval=100)
+    assert manifest["segments"] == run(named.instance, config).segments
 
 
 def test_solve_reruns_byte_identically(tmp_path):

@@ -7,20 +7,25 @@ import numpy as np
 import pytest
 
 import fbauction.solver
-from conftest import point_mass_profile, random_profile, symmetric_binary_analytic_profile
+from conftest import point_mass_profile, random_profile, step_loop_run, symmetric_binary_analytic_profile
 from fbauction import (
     AuctionInstance,
     BidGrid,
     InvalidInstanceError,
+    NamedInstance,
     PaymentRule,
+    PlayerAuction,
     Scenario,
     SolverConfig,
     StrategyProfile,
     all_payoff_curves,
     certify,
+    convert_player_to_agent,
     example_1,
+    example_2,
     example_3,
     example_4,
+    example_5,
     random_instance,
     run,
 )
@@ -222,24 +227,25 @@ def test_simplex_preserved_across_many_steps():
     assert result.renormalizations == 0
 
 
-def _example_1_at_half():
-    named = example_1()
+def _at_half(named):
     return dataclasses.replace(named, instance=dataclasses.replace(named.instance, rule=PaymentRule(0.5)))
 
 
-# examples 3 and 4 gather rival-set products (4 through its players' mixtures), and alpha 0.5 takes the
-# second-price tail of the curves
-@pytest.mark.parametrize("named, ties", [(example_1(), True), (random_instance(0), False), (example_3(), True),
-                                         (example_4(), True), (_example_1_at_half(), True)],
-                         ids=["example-1", "random-0", "example-3", "example-4", "example-1-alpha0.5"])
+def _harmonic(named):
+    return dataclasses.replace(named, config=dataclasses.replace(named.config, schedule="harmonic", coefficient=1.0))
+
+
+# examples 3 and 4 gather rival-set products (4 through its players' mixtures), so run takes one step per
+# segment there; the instances where it jumps are replayed segment by segment below
+@pytest.mark.parametrize("named, ties", [(example_3(), True), (example_4(), True)], ids=["example-3", "example-4"])
 def test_run_matches_the_update_rule_on_strategy_weights(monkeypatch, named, ties):
     """``run`` carries CDF tables; replaying its best replies on the weights
     themselves, ``w <- (1 - eta) w + eta e_best``, gives the same profile.
 
-    Each replayed reply must be a best reply to the replayed profile. Example
-    1 has exact payoff ties (at step 134 levels 133 and 134 both pay
-    35511/53600), which either rounding path may break either way, so there
-    a reply only has to come within 1e-12 of the best payoff.
+    Each replayed reply must be a best reply to the replayed profile. Both
+    examples have exact payoff ties, which either rounding path may break
+    either way, so there a reply only has to come within 1e-12 of the best
+    payoff.
     """
     inst, steps = named.instance, 3000
     engine = engine_for(inst)
@@ -267,6 +273,140 @@ def test_run_matches_the_update_rule_on_strategy_weights(monkeypatch, named, tie
         w[rows, best] += eta
     assert np.abs(result.profile.weights - w).max() <= 1e-12
     assert ties or off_rule == 0
+
+
+def _recorded_segments(monkeypatch, inst, config):
+    """``run``'s result and its segments, each ``(k, best, m)``: from ``k``
+    steps taken, the replies ``best`` held for ``m`` steps."""
+    plain_replies, plain_held_steps = fbauction.solver.best_replies, fbauction.solver._held_steps
+    recorded = []  # [best, m] per segment: run picks replies once per segment, and m only where it tries a jump
+
+    def recording_replies(curves):
+        best = plain_replies(curves)
+        recorded.append([best.copy(), 1])
+        return best
+
+    def recording_held_steps(*args):
+        m, keep = plain_held_steps(*args)
+        recorded[-1][1] = m
+        return m, keep
+
+    monkeypatch.setattr(fbauction.solver, "best_replies", recording_replies)
+    monkeypatch.setattr(fbauction.solver, "_held_steps", recording_held_steps)
+    result = run(inst, config)
+    starts = np.cumsum([0] + [m for _best, m in recorded]).tolist()
+    return result, [(k, best, m) for k, (best, m) in zip(starts, recorded)]
+
+
+# one rival per scenario, so run jumps over the steps in which no reply changes; examples 1 (with and
+# without the second-price tail), 2 and 5 have exact payoff ties, on which run and a step loop may part
+@pytest.mark.parametrize("named, ties", [(example_1(), True), (_at_half(example_1()), True),
+                                         (random_instance(0), False), (_harmonic(example_2()), True),
+                                         (_harmonic(example_5()), True)],
+                         ids=["example-1", "example-1-alpha0.5", "random-0", "example-2-harmonic",
+                              "example-5-harmonic"])
+def test_segments_replay_on_strategy_weights(monkeypatch, named, ties):
+    """Replaying ``run``'s segments step by step on the weights themselves,
+    ``w <- (1 - eta) w + eta e_best`` with each segment's replies held for
+    its ``m`` steps, gives the same profile to 1e-12, and at every step the
+    held reply comes within 1e-12 of the best payoff to the replayed profile.
+
+    Without exact ties (random seed 0) the held reply is the one
+    ``best_replies`` picks at every step.
+    """
+    inst, steps = named.instance, 3000
+    engine = engine_for(inst)
+    result, segments = _recorded_segments(monkeypatch, inst, dataclasses.replace(
+        named.config, max_iterations=steps, check_interval=steps))
+    assert result.segments == len(segments)
+    assert segments[-1][0] + segments[-1][2] == result.iterations_run == steps
+
+    w = StrategyProfile.uniform(inst.n_agents, inst.n_bids).weights.copy()
+    rows = np.arange(inst.n_agents)
+    off_rule = 0
+    for k, best, m in segments:
+        for step in range(k, k + m):
+            curves = engine.curves(engine.cdf_table(w))
+            assert np.all(curves[rows, best] >= curves.max(axis=1) - 1e-12)
+            off_rule += int(np.any(best != best_replies(curves)))
+            eta = named.config.rate(step)
+            w *= 1.0 - eta
+            w[rows, best] += eta
+    assert np.abs(result.profile.weights - w).max() <= 1e-12
+    assert ties or off_rule == 0
+
+
+def _correlated_players():
+    """Three correlated players in agent form: rival sets of two, not factored into players."""
+    joint = np.arange(1.0, 13.0).reshape(2, 3, 2)
+    players = PlayerAuction(([0.2, 0.6], [0.3, 0.5, 0.9], [0.4, 0.8]), joint / joint.sum())
+    values, scenarios, _partition = convert_player_to_agent(players)
+    return NamedInstance("correlated-players", AuctionInstance(values, scenarios, BidGrid.uniform(1.0, 50)),
+                         SolverConfig())
+
+
+@pytest.mark.parametrize("named", [example_3(), example_4(), _at_half(example_4()), _correlated_players()],
+                         ids=["example-3", "example-4", "example-4-alpha0.5", "correlated-players"])
+def test_run_is_the_step_loop_where_curves_are_not_affine(named):
+    inst = named.instance
+    assert not engine_for(inst).affine
+    config = dataclasses.replace(named.config, max_iterations=2000, check_interval=500)
+    result, reference = run(inst, config), step_loop_run(inst, config)
+    assert np.array_equal(result.profile.weights, reference.profile.weights)
+    assert result.trajectory == reference.trajectory
+    for field in ("gaps", "payoffs", "best_response_bids"):
+        assert np.array_equal(getattr(result.certificate, field), getattr(reference.certificate, field))
+    assert result.renormalizations == reference.renormalizations
+    assert result.segments == result.iterations_run == 2000  # one segment per step
+
+
+# a constant rate of 0.05 forgets the past within a few dozen steps, so the replies cycle and run seldom
+# jumps; at 0.001 it jumps
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("schedule, coefficient, jumps", [("harmonic", 1.0, True), ("harmonic", 0.5, True),
+                                                          ("linear", 1.0, True), ("constant", 0.05, False),
+                                                          ("constant", 0.001, True)])
+def test_run_certifies_the_step_loop_epsilons_where_it_jumps(schedule, coefficient, jumps, alpha):
+    """On random pair auctions ``run`` jumps, rounding otherwise than a step
+    loop; each check's certified epsilon agrees with the loop's to 1e-9."""
+    config = SolverConfig(schedule=schedule, coefficient=coefficient, max_iterations=3000, check_interval=500)
+    jumped = False
+    for seed in range(3):
+        inst = _at_half(random_instance(seed)).instance if alpha == 0.5 else random_instance(seed).instance
+        assert engine_for(inst).affine
+        result, reference = run(inst, config), step_loop_run(inst, config)
+        assert [k for k, _eps in result.trajectory] == [k for k, _eps in reference.trajectory]
+        for (_k, eps), (_k, expected) in zip(result.trajectory, reference.trajectory):
+            assert eps == pytest.approx(expected, rel=1e-9, abs=0.0)
+        jumped |= result.segments < result.iterations_run
+    assert jumped or not jumps
+
+
+def test_held_steps_keep_the_product_of_the_step_rates():
+    """``_held_steps`` finds the first m whose steps keep at most the bound,
+    the product of ``1 - rate(k + i)`` over ``i < m``: on the closed forms
+    (harmonic and linear with coefficient 1, constant) and on the chunked
+    products (other coefficients) alike."""
+    def kept(config, k, m):
+        return float(np.prod(1.0 - config.rate(np.arange(k, k + m, dtype=float)) * np.ones(m)))
+
+    for config in (SolverConfig(), SolverConfig(schedule="linear"), SolverConfig(schedule="constant", coefficient=0.05),
+                   SolverConfig(coefficient=0.5), SolverConfig(schedule="linear", coefficient=0.5)):
+        for k, bound in ((10, 0.5), (1000, 0.999), (1000, 0.1), (5, 0.01)):
+            m, keep = fbauction.solver._held_steps(config, k, bound, 10**6)
+            assert keep == pytest.approx(kept(config, k, m), rel=1e-10)
+            assert kept(config, k, m) <= bound * (1 + 1e-10) and kept(config, k, m - 1) > bound * (1 - 1e-10)
+        assert fbauction.solver._held_steps(config, 10, 0.0, 777)[0] == 777  # no switch: up to the limit
+        assert fbauction.solver._held_steps(config, 10, 1.0, 777)[0] == 1  # a tie: one step
+
+
+def test_segment_count():
+    """One segment per step where every step is taken; fewer where the run jumps."""
+    named = random_instance(0)
+    result = run(named.instance, dataclasses.replace(named.config, max_iterations=3000))
+    assert result.iterations_run == 3000
+    assert result.segments < 3000
+    assert run(named.instance, dataclasses.replace(named.config, max_iterations=0)).segments == 0
 
 
 def test_weights_stay_exactly_on_the_simplex_through_ties():
