@@ -218,6 +218,7 @@ def cmd_solve(args, loaded) -> int:
     started = time.perf_counter()
     result = run(instance, config)
     duration = time.perf_counter() - started
+    engine = engine_for(instance)
 
     weights = result.profile.weights
     _write_grid_csv(out / "strategies.csv", instance, pdf=weights, cdf=np.cumsum(weights, axis=1))
@@ -228,6 +229,7 @@ def cmd_solve(args, loaded) -> int:
         "instance": {**identity, "n_agents": instance.n_agents, "grid": grid_to_spec(instance.grid),
                      "alpha": instance.rule.alpha},
         "config": config.echo(),
+        "engine": {"aggregation": engine.aggregation, "loop": engine.loop},  # the path run took
         "artifacts": {
             "strategies": str(out / "strategies.csv"),
             "payoffs": str(out / "payoffs.csv"),

@@ -93,8 +93,15 @@ def _player_labels(instance: AuctionInstance, mass: np.ndarray, rivals: list[fro
     return labels
 
 
-def _slot_sum_plan(n: int, entries: list[tuple[int, int, float]], levels: int):
-    """The slot sum's layout of the nonzero ``(agent, column, weight)`` entries.
+def _sorted_entries(entries: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero ``(agent, column, weight)`` entries as three arrays, by agent, each agent's columns ascending."""
+    agent, col, weight = map(np.array, zip(*entries))
+    by_agent = np.lexsort((col, agent))
+    return agent[by_agent], col[by_agent], weight[by_agent]
+
+
+def _slot_sum_plan(n: int, agent: np.ndarray, col: np.ndarray, weight: np.ndarray, levels: int):
+    """The slot sum's layout of the :func:`_sorted_entries`.
 
     The agents are ranked by their entry count, descending and stable. Slot
     ``s`` holds the ``s``-th column (ascending) of every agent with more than
@@ -104,9 +111,6 @@ def _slot_sum_plan(n: int, entries: list[tuple[int, int, float]], levels: int):
     long on a 195-agent pair auction), and each agent's rank, its row in
     slot 0.
     """
-    agent, col, weight = map(np.array, zip(*entries))
-    by_agent = np.lexsort((col, agent))
-    agent, col, weight = agent[by_agent], col[by_agent], weight[by_agent]
     counts = np.bincount(agent, minlength=n)
     rank = np.empty(n, dtype=np.intp)
     rank[np.argsort(-counts, kind="stable")] = np.arange(n)
@@ -117,6 +121,26 @@ def _slot_sum_plan(n: int, entries: list[tuple[int, int, float]], levels: int):
     slots = tuple((columns[start:start + size], np.repeat(weight[start:start + size], levels).reshape(size, levels))
                   for start, size in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
     return slots, rank
+
+
+def _pure_plan(n: int, agent: np.ndarray, column: np.ndarray, weight: np.ndarray, bids: np.ndarray):
+    """The layout :meth:`PayoffEngine.step_curves` and :meth:`PayoffEngine.facing`
+    read, from the :func:`_sorted_entries` of a one-rival instance.
+
+    By agent: each agent's ``count`` entries from ``start``, with their
+    ``column`` (a rival, or ``n`` for none) and ``weight``. By column: the
+    ``faced_count`` agents from ``faced_start`` in ``faced_by`` that face
+    each column, ascending. Then ``price``: at each level ``l`` the bid
+    ``l - 1``, and 0 at level 0, where no rival pays.
+    """
+    count, faced_count = np.bincount(agent, minlength=n), np.bincount(column, minlength=n + 1)
+    return (count.cumsum() - count, count, column, weight, faced_count.cumsum() - faced_count, faced_count,
+            agent[np.argsort(column, kind="stable")], np.append(0.0, bids))
+
+
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices ``start[k] .. start[k] + size[k] - 1`` of every key ``k``, concatenated in key order."""
+    return np.repeat(start - size.cumsum() + size, size) + np.arange(size.sum())
 
 
 class PayoffEngine:
@@ -161,6 +185,10 @@ class PayoffEngine:
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
+    Where no scenario has two or more rivals (:attr:`affine`) and the engine
+    takes the slot sum, :meth:`step_curves` gives the curves against a pure
+    profile for a subset of the agents, and :meth:`facing` names the agents
+    whose curves depend on a given agent's bid.
 
     ``curves`` writes into a :meth:`workspace` that the caller owns and
     returns the workspace's ``curves`` buffer, so an array it returned is
@@ -223,8 +251,12 @@ class PayoffEngine:
         if problem:
             raise InvalidInstanceError([problem])
         entries = [(a, column[key], weight) for a, key, weight in entries]
+        self._pure_plan = None
         if sparse:
-            self._qmat, self._slot_sum = None, _slot_sum_plan(n, entries, levels)
+            sorted_entries = _sorted_entries(entries)
+            self._qmat, self._slot_sum = None, _slot_sum_plan(n, *sorted_entries, levels)
+            if not slots:  # one rival at most: the columns are the agents
+                self._pure_plan = _pure_plan(n, *sorted_entries, bids)
         else:
             qmat = np.zeros((n, n_columns))
             for a, col, weight in entries:
@@ -256,6 +288,58 @@ class PayoffEngine:
         the curves lie on the line between theirs.
         """
         return not self._slots
+
+    @property
+    def aggregation(self) -> str:
+        """How :meth:`curves` mixes the columns into the agents: ``"dense"`` or ``"slot sum"``."""
+        return "dense" if self._slot_sum is None else "slot sum"
+
+    @property
+    def loop(self) -> str:
+        """The loop form :func:`fbauction.solver.run` takes on this engine's instance.
+
+        ``"step"`` where the curves are not affine, ``"cumulative"`` (Brown's
+        cumulative payoffs, refreshed by :meth:`step_curves`) where they are
+        and the engine takes the slot sum, else ``"jump"``.
+        """
+        if self._pure_plan is not None:
+            return "cumulative"
+        return "jump" if self.affine else "step"
+
+    def facing(self, agents: np.ndarray) -> np.ndarray:
+        """The agents that face any of ``agents`` as a rival, ascending, where :attr:`loop` is ``"cumulative"``."""
+        *_, faced_start, faced_count, faced_by, _price = self._pure_plan
+        hit = np.zeros(self._n, dtype=bool)
+        hit[faced_by[_ranges(faced_start[agents], faced_count[agents])]] = True
+        return hit.nonzero()[0]
+
+    def step_curves(self, replies: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write into ``out[rows]`` the curves of agents ``rows`` against the pure profile ``replies``.
+
+        ``replies[a]`` is agent ``a``'s bid index; where :attr:`loop` is
+        ``"cumulative"``, the result matches :meth:`curves` of that
+        profile's step table up to rounding. Each agent's rival CDFs are
+        steps from 0 to 1, so its mixture is a row ``cumsum`` of a
+        ``bincount`` of its weights at the levels just above its rivals'
+        bids (level 0 for no rival), and the second-price tail the same of
+        weights times those bids. No BLAS call, and each row's bins add its
+        entries in column order, so agents with equal conditional rows get
+        equal bits. Returns ``out``.
+        """
+        start, count, columns, weights, *_, price = self._pure_plan
+        size = count[rows]
+        take = _ranges(start[rows], size)
+        levels = self._n_bids + 1
+        level = np.concatenate((replies, (-1,)))[columns[take]] + 1  # where each rival's CDF steps to 1
+        bins = np.repeat(np.arange(0, rows.size * levels, levels), size) + level
+        shape = (rows.size, levels)
+        win = np.bincount(bins, weights[take], rows.size * levels).reshape(shape).cumsum(axis=1)
+        curves = np.multiply(self._value_margin.take(rows, axis=0), win[:, :-1])
+        if self._use_mixture:
+            paid = np.bincount(bins, weights[take] * price[level], rows.size * levels)
+            curves -= self._second_price_share * paid.reshape(shape).cumsum(axis=1)[:, :-1]
+        out[rows] = curves
+        return out
 
     def cdf_table(self, weights: np.ndarray) -> np.ndarray:
         """The strict-CDF table of a strategy matrix, the input of :meth:`curves`.

@@ -49,9 +49,32 @@ single steps, so a run that jumps can break an exact payoff tie the other
 way and part from the step loop there. On instances with rival sets of two
 or more the curves are not affine along the line, and every segment is one
 step: the step loop, bit for bit.
+
+Where the engine is affine and takes the slot sum (``engine.loop`` is
+``"cumulative"``: large sparse pair auctions), ``run`` carries Brown's own
+form of the dynamic in place of ``F``: the cumulative payoffs ``U = sum_i
+mass_i * curves(S_i)`` over the start and every step so far, and the step
+curves ``D = curves(S)`` of the replies held. The curves being affine, ``U``
+is ``M * curves(F)`` for the total mass ``M``, so the replies to ``U`` are
+the replies to ``F``. A step with keep share ``kappa = 1 - eta_k`` adds the
+mass ``M * (1/kappa - 1)``, which makes ``M <- M / kappa``; ``kappa = 0``
+replaces the start and every reply before it. Each segment takes the replies
+to ``U``, books the mass of every reply run that ended to its (agent, bid),
+refreshes ``D`` only in the rows of the agents that face an agent whose
+reply changed (:meth:`PayoffEngine.step_curves`, :meth:`PayoffEngine.facing`)
+and adds ``mass * D`` to ``U``. No step passes over a CDF table; the weights,
+the booked masses over ``M``, are formed at the checks alone. Before ``M``
+would pass ``_RESCALE_AT``, as only the constant schedule's does, all masses
+are scaled down by a power of 2, which rounds nothing, so every schedule,
+coefficient and start runs on this path. A jump's bound needs no ``curves``
+call: the replies hold until the added mass reaches ``(U[a, b] - U[a, j]) /
+(D[a, j] - D[a, b])`` on some cell with ``D[a, j] > D[a, b]``. The replies
+to ``U`` round otherwise than those to ``curves(F)``, so this loop too can
+break an exact payoff tie otherwise than the step loop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +83,10 @@ import numpy as np
 from .model import PROB_TOL, AuctionInstance, StrategyProfile, _exact_int, _number, validate_instance
 from .payoff import PayoffEngine, engine_for
 from .verify import EquilibriumCertificate, best_replies, certify
+
+# the cumulative loop scales its masses down by a power of 2 before their
+# total would pass this one; the constant schedule's total grows that far
+_RESCALE_AT = 2.0 ** 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +107,12 @@ class SolverConfig:
     An epsilon certificate is computed every ``check_interval`` iterations and
     after the last one; when ``epsilon_target`` is set the run stops at the
     first check that reaches it. A check costs about one ``curves`` call, as
-    much as one step. Where ``run`` jumps over the steps in which no reply
-    changes (see the module docstring), an iteration costs far less than a
-    step, so there a check costs many iterations. ``independent_player_cache`` is accepted for compatibility and
+    much as one step of the step loop. Where ``run`` jumps over the steps in
+    which no reply changes (see the module docstring), an iteration costs far
+    less than a step, so there a check costs many iterations; where it
+    carries cumulative payoffs, a step refreshes only the payoff rows a reply
+    change touches, and a check costs about eight steps on a 195-agent pair
+    auction. ``independent_player_cache`` is accepted for compatibility and
     ignored: the payoff engine has one aggregation row per agent.
     """
 
@@ -200,16 +230,126 @@ def _hold(engine: PayoffEngine, work: dict[str, np.ndarray], curves: np.ndarray,
 
     ``held_table`` holds the step table S of ``best``; ``work``, the
     workspace ``curves`` came from, is overwritten. Along the line ``(1 -
-    lam) F + lam S`` bid ``j`` overtakes reply ``b`` at ``lam = d0 / (d0 +
-    d1)``, where the steps keep ``d1 / (d0 + d1)`` of F; a cell with ``d1
-    <= 0`` gives no positive share.
+    lam) F + lam S`` bid ``j`` overtakes reply ``b`` where the steps keep
+    the share :func:`_switch_keep` finds of F.
     """
     at_best = best + np.arange(0, curves.size, curves.shape[1])  # flat indices of the replies
-    d0 = curves.take(at_best)[:, None] - curves
-    step_curves = engine.curves(held_table, work)
-    d1 = step_curves - step_curves.take(at_best)[:, None]
-    total = np.maximum(d0 + d1, np.finfo(float).tiny)  # d0 >= 0, so the floor only averts 0 / 0
-    return _held_steps(config, k, float((d1 / total).max()), limit)
+    gaps = curves.take(at_best)[:, None] - curves  # before the next curves call overwrites curves
+    step = engine.curves(held_table, work)
+    return _held_steps(config, k, _switch_keep(gaps, step.take(at_best)[:, None] - step), limit)
+
+
+def _switch_keep(gaps: np.ndarray, step_gaps: np.ndarray) -> float:
+    """The largest share of the mass that steps with the replies keep
+    before some reply stops being best; overwrites both arguments.
+
+    ``gaps[a, j]`` is how far bid ``j``'s payoff falls short of reply
+    ``b``'s, over the total mass (``d0``), ``step_gaps`` the same against
+    the replies' step profile (``-d1``). Bid ``j`` overtakes reply ``b``
+    once the steps keep ``d1 / (d0 + d1)`` of the mass; a cell with ``d1 <=
+    0`` gives no positive share.
+    """
+    total = np.subtract(gaps, step_gaps, out=gaps)
+    np.maximum(total, np.finfo(float).tiny, out=total)  # d0 >= 0, so the floor only averts 0 / 0
+    return -float(np.divide(step_gaps, total, out=step_gaps).min())
+
+
+def _renormalize(rows: np.ndarray, totals: np.ndarray) -> int:
+    """Divide the ``rows`` whose ``totals`` stray from 1 by more than
+    ``PROB_TOL`` by their totals, and count them: an exact convex mix drifts
+    ~1e-16 per step, and ``from_matrix`` would reject such rows."""
+    bad = np.abs(totals - 1.0) > PROB_TOL
+    if bad.any():
+        rows[bad] /= totals[bad, None]
+    return int(bad.sum())
+
+
+def _cumulative_run(engine: PayoffEngine, instance: AuctionInstance, config: SolverConfig,
+                    profile: StrategyProfile) -> SolverResult:
+    """``run`` on an engine whose :attr:`~PayoffEngine.loop` is
+    ``"cumulative"``: Brown's cumulative payoffs (see the module docstring),
+    from the start ``profile``."""
+    n = instance.n_agents
+    agents = np.arange(n)
+    # U, the start's curves at mass 1; cdf_table raises ValueError on a wrongly shaped init
+    payoffs = engine.curves(engine.cdf_table(profile.weights))
+    step = np.empty_like(payoffs)  # D, the curves of the replies held
+    spare = np.empty_like(payoffs)  # scratch for the mass add, a jump's bound and the weights at a check
+    booked = np.zeros_like(payoffs)  # the masses of the finished reply runs, by (agent, bid)
+    booked_cells = booked.reshape(-1)  # a view: flat indices book faster than index pairs
+    start_weights, start_mass, total = profile.weights, 1.0, 1.0
+    since = np.empty(n)  # the total mass when each agent's current reply run began
+    best, streak, need = None, 0, 1  # the replies held, and as in run's jump rule
+
+    renormalizations = skipped = 0
+    trajectory: list[tuple[int, float]] = []
+    last = config.max_iterations
+    k = 0
+    while True:
+        if k == last or k and not k % config.check_interval:
+            if k:
+                weights = spare  # from_matrix copies the weights, so the next step may overwrite spare
+                np.copyto(weights, booked)
+                weights[agents, best] += total - since
+                if start_mass:
+                    weights += start_mass * start_weights
+                weights /= total
+                renormalizations += _renormalize(weights, weights.sum(axis=1))
+                profile = StrategyProfile.from_matrix(weights)
+            certificate = certify(profile, instance)
+            trajectory.append((k, certificate.epsilon))
+            if k == last or config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
+                break
+        # one segment: the replies; book the finished runs and refresh the curves they touch; add mass
+        replies = best_replies(payoffs)
+        changed = agents if best is None else (replies != best).nonzero()[0]
+        if changed.size:
+            if best is None:  # every agent starts its first run
+                rows = agents
+            else:
+                booked_cells[changed * payoffs.shape[1] + best[changed]] += total - since[changed]
+                rows = engine.facing(changed)
+            since[changed] = total
+            engine.step_curves(replies, rows, step)
+            streak = 0
+        else:
+            streak += 1
+        best = replies
+        keep = 1.0 - config.rate(k)
+        if streak >= need and (limit := min(last, (k // config.check_interval + 1) * config.check_interval) - k) > 1:
+            at_best = best + np.arange(0, step.size, step.shape[1])  # flat indices of the replies
+            gaps = np.subtract(payoffs.take(at_best)[:, None], payoffs, out=spare)
+            gaps /= total
+            m, kept = _held_steps(config, k, _switch_keep(gaps, step.take(at_best)[:, None] - step), limit)
+            need = 1 if m > 1 else 2 * need
+            if m > 1:
+                keep = kept
+                k += m - 1
+                skipped += m - 1
+        if not keep:  # the step replaces the start and every reply before it
+            np.copyto(payoffs, step)
+            booked.fill(0.0)
+            since.fill(0.0)
+            start_mass, total = 0.0, 1.0
+        else:
+            if total > _RESCALE_AT * keep:  # total / keep would pass it: first scale to a new total near 1
+                scale = math.ldexp(1.0, math.frexp(keep)[1] - math.frexp(total)[1])  # a power of 2: exact
+                for masses in (payoffs, booked, since):
+                    masses *= scale
+                start_mass, total = start_mass * scale, total * scale
+            added = total * (1.0 - keep) / keep
+            payoffs += np.multiply(step, added, out=spare)
+            total += added
+        k += 1
+
+    return SolverResult(
+        profile=profile,
+        iterations_run=k,
+        certificate=certificate,
+        trajectory=tuple(trajectory),
+        renormalizations=renormalizations,
+        segments=k - skipped,
+    )
 
 
 def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
@@ -222,6 +362,8 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     engine = engine_for(instance)
     n, n_bids = instance.n_agents, instance.n_bids
     profile = StrategyProfile.uniform(n, n_bids) if config.init is None else config.init
+    if engine.loop == "cumulative":
+        return _cumulative_run(engine, instance, config, profile)
     cdf = engine.cdf_table(profile.weights)  # raises ValueError on a wrongly shaped init
     agent_cdf = cdf[:n]  # a view; the last row stays all ones
     # above[b, j] is j > b: row b is a window onto one shared step, read backwards, so no table is built
@@ -239,12 +381,7 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
         if k == last or k and not k % config.check_interval:
             work = curves = None  # certify makes its own; freeing ours first lowers the peak memory
             if k:  # the start is certified as given
-                # an exact convex mix drifts ~1e-16 per step; renormalize rows from_matrix would reject
-                totals = agent_cdf[:, -1]
-                bad = np.abs(totals - 1.0) > PROB_TOL
-                if bad.any():
-                    agent_cdf[bad] /= totals[bad, None]
-                    renormalizations += int(bad.sum())
+                renormalizations += _renormalize(agent_cdf, agent_cdf[:, -1])
                 profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
             certificate = certify(profile, instance)
             trajectory.append((k, certificate.epsilon))

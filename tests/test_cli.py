@@ -69,6 +69,18 @@ def test_solve_writes_all_artifacts(solved):
     named = example_1()
     config = dataclasses.replace(named.config, max_iterations=400, check_interval=100)
     assert manifest["segments"] == run(named.instance, config).segments
+    assert manifest["engine"] == {"aggregation": "dense", "loop": "jump"}
+
+
+@pytest.mark.parametrize("source, engine", [
+    (["--example", "3"], {"aggregation": "dense", "loop": "step"}),
+    (["--example", "random", "--n-agents", "200", "--n-scenarios", "400"], {"aggregation": "slot sum", "loop": "cumulative"}),
+], ids=["example-3", "pairs-200x400"])
+@pytest.mark.filterwarnings("ignore:seed 0:UserWarning")  # five agents draw no pair and are dropped
+def test_manifest_names_the_engine_path(tmp_path, source, engine):
+    out = tmp_path / "run"
+    assert main(["solve", *source, "--max-iters", "20", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["engine"] == engine
 
 
 def test_solve_reruns_byte_identically(tmp_path):

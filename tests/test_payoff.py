@@ -295,22 +295,95 @@ def test_slot_sum_matches_a_dense_product_and_brute_force(n_agents):
             assert np.abs(curves - brute_force_curves(profile, inst)).max() <= 1e-12
 
 
-def test_agents_with_equal_conditional_rows_get_bit_identical_curves():
-    # agents 0 and 1 hold one value and each meet agents 2-5 with equal
-    # probabilities; a chain over agents 2-199 makes the instance sparse.
-    # The slot sum adds both rows' terms in one order; a BLAS product sums
-    # each row by its position, so there the two can differ in the last bit
+def _equal_conditional_rows(alpha: float = 1.0) -> AuctionInstance:
+    """Agents 0 and 1 hold one value and each meet agents 2-5 with equal
+    probabilities; a chain over agents 2-199 makes the instance sparse."""
     n = 200
     values = np.random.default_rng(3).uniform(size=n)
     values[1] = values[0]
     member_sets = [(a, rival) for a in (0, 1) for rival in range(2, 6)] + [(a, a + 1) for a in range(2, n - 1)]
-    inst = _instance(values, member_sets, [1 / len(member_sets)] * len(member_sets), np.linspace(0.0, 1.0, 101))
+    return _instance(values, member_sets, [1 / len(member_sets)] * len(member_sets), np.linspace(0.0, 1.0, 101),
+                     alpha)
+
+
+def test_agents_with_equal_conditional_rows_get_bit_identical_curves():
+    # The slot sum adds both rows' terms in one order; a BLAS product sums
+    # each row by its position, so there the two can differ in the last bit
+    n = 200
+    inst = _equal_conditional_rows()
     engine = PayoffEngine(inst)
     assert engine._slot_sum is not None
     rng = np.random.default_rng(9)
     for _ in range(5):
         curves = engine.curves(engine.cdf_table(random_profile(rng, n, inst.n_bids).weights))
         assert np.array_equal(curves[0], curves[1])
+
+
+_NOT_CUMULATIVE = {**_DENSE_AGGREGATION, "example-1-alpha0.5": lambda: _at_alpha(get_example("1").instance, 0.5)}
+
+
+@pytest.mark.parametrize("build", _NOT_CUMULATIVE.values(), ids=_NOT_CUMULATIVE.keys())
+def test_small_instances_keep_the_jump_or_step_loop(build):
+    engine = PayoffEngine(build())
+    assert engine.aggregation == "dense"
+    assert engine.loop == ("jump" if engine.affine else "step")
+
+
+@pytest.mark.parametrize("n_agents, n_scenarios", [(200, 400), (5000, 10_000)])
+def test_large_pair_auctions_take_the_cumulative_loop(n_agents, n_scenarios):
+    engine = PayoffEngine(_random_pairs(0, n_agents, n_scenarios))
+    assert (engine.aggregation, engine.loop) == ("slot sum", "cumulative")
+
+
+def _step_table(engine, replies, n_bids):
+    """The strict-CDF table of the pure profile ``replies``."""
+    return engine.cdf_table(np.eye(n_bids)[replies])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
+def test_step_curves_match_the_curves_of_the_step_table(alpha):
+    rng = np.random.default_rng(17)
+    for seed in range(3):
+        inst = _at_alpha(_random_pairs(seed, 200, 400), alpha)
+        engine = PayoffEngine(inst)
+        assert engine.loop == "cumulative"
+        n = inst.n_agents
+        for _ in range(3):
+            replies = rng.integers(inst.n_bids, size=n)
+            expected = engine.curves(_step_table(engine, replies, inst.n_bids))
+            every = engine.step_curves(replies, np.arange(n), np.full_like(expected, np.nan))
+            assert np.abs(every - expected).max() <= 1e-15 * np.abs(expected).max()
+            rows = np.sort(rng.choice(n, size=max(1, n // 4), replace=False))
+            some = engine.step_curves(replies, rows, np.full_like(expected, np.nan))
+            assert np.array_equal(some[rows], every[rows])
+            assert np.isnan(np.delete(some, rows, axis=0)).all()  # no other row is written
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_step_curves_give_equal_conditional_rows_equal_bits(alpha):
+    inst = _equal_conditional_rows(alpha)
+    engine = PayoffEngine(inst)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        replies = rng.integers(inst.n_bids, size=inst.n_agents)
+        out = engine.step_curves(replies, np.arange(inst.n_agents), np.empty((inst.n_agents, inst.n_bids)))
+        assert np.array_equal(out[0], out[1])
+
+
+def test_facing_names_the_agents_that_meet_the_given_ones():
+    inst = _random_pairs(1, 200, 400)
+    engine = PayoffEngine(inst)
+    met = [set() for _ in range(inst.n_agents)]
+    for s in inst.scenarios:
+        for a in s.members:
+            met[a] |= s.members - {a}
+    rng = np.random.default_rng(2)
+    for size in (1, 3, 20):
+        agents = np.sort(rng.choice(inst.n_agents, size=size, replace=False))
+        expected = sorted(b for a in agents.tolist() for b in range(inst.n_agents) if b in met[a])
+        assert engine.facing(agents).tolist() == sorted(set(expected))
+    assert engine.facing(np.array([], dtype=int)).tolist() == []
+    assert PayoffEngine(_equal_conditional_rows()).facing(np.array([2])).tolist() == [0, 1, 3]
 
 
 def test_a_pair_auction_beyond_the_dense_table_limit_solves():

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +233,13 @@ def _at_half(named):
     return dataclasses.replace(named, instance=dataclasses.replace(named.instance, rule=PaymentRule(0.5)))
 
 
+def _pairs_named(seed):
+    """A random pair auction of 200 agents and 400 pairs, as ``perfbench``'s ``pairs-200x400``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # agents that draw no pair are dropped with a warning
+        return random_instance(seed, 200, 400)
+
+
 def _harmonic(named):
     return dataclasses.replace(named, config=dataclasses.replace(named.config, schedule="harmonic", coefficient=1.0))
 
@@ -302,9 +311,10 @@ def _recorded_segments(monkeypatch, inst, config):
 # without the second-price tail), 2 and 5 have exact payoff ties, on which run and a step loop may part
 @pytest.mark.parametrize("named, ties", [(example_1(), True), (_at_half(example_1()), True),
                                          (random_instance(0), False), (_harmonic(example_2()), True),
-                                         (_harmonic(example_5()), True)],
+                                         (_harmonic(example_5()), True), (_pairs_named(0), False),
+                                         (_at_half(_pairs_named(0)), False)],
                          ids=["example-1", "example-1-alpha0.5", "random-0", "example-2-harmonic",
-                              "example-5-harmonic"])
+                              "example-5-harmonic", "pairs-200x400", "pairs-200x400-alpha0.5"])
 def test_segments_replay_on_strategy_weights(monkeypatch, named, ties):
     """Replaying ``run``'s segments step by step on the weights themselves,
     ``w <- (1 - eta) w + eta e_best`` with each segment's replies held for
@@ -380,6 +390,94 @@ def test_run_certifies_the_step_loop_epsilons_where_it_jumps(schedule, coefficie
             assert eps == pytest.approx(expected, rel=1e-9, abs=0.0)
         jumped |= result.segments < result.iterations_run
     assert jumped or not jumps
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(seed: int, alpha: float = 1.0) -> AuctionInstance:
+    return dataclasses.replace(_pairs_named(seed).instance, rule=PaymentRule(alpha))
+
+
+def _assert_certifies_the_step_loop(inst, config):
+    """``run`` and the step loop check on the same iterations, each check's
+    epsilon agrees to 1e-9 relative and the final weights to 1e-12."""
+    result, reference = run(inst, config), step_loop_run(inst, config)
+    assert result.iterations_run == reference.iterations_run
+    assert [k for k, _eps in result.trajectory] == [k for k, _eps in reference.trajectory]
+    for (_k, eps), (_k, expected) in zip(result.trajectory, reference.trajectory):
+        assert eps == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert np.abs(result.profile.weights - reference.profile.weights).max() <= 1e-12
+    assert result.certificate.epsilon == certify(result.profile, inst).epsilon
+    return result
+
+
+_SCHEDULES = [("harmonic", 1.0), ("harmonic", 0.5), ("linear", 1.0), ("constant", 0.05), ("constant", 0.001)]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("schedule, coefficient", _SCHEDULES)
+def test_cumulative_payoffs_certify_the_step_loop_epsilons(schedule, coefficient, alpha):
+    """On slot-sum pair auctions ``run`` carries Brown's cumulative payoffs
+    and masses in place of the CDF table; its checks agree with a step loop's."""
+    config = SolverConfig(schedule=schedule, coefficient=coefficient, max_iterations=1000, check_interval=250)
+    for seed in range(3):
+        inst = _pairs(seed, alpha)
+        assert engine_for(inst).loop == "cumulative"
+        _assert_certifies_the_step_loop(inst, config)
+
+
+def test_cumulative_payoffs_from_an_explicit_start_and_at_the_edges():
+    """An explicit ``init``, budgets of 0 and 1 and a check after every
+    iteration behave as on the step loop; with no step, the start is returned."""
+    inst = _pairs(0)
+    start = random_profile(np.random.default_rng(5), inst.n_agents, inst.n_bids)
+    for init in (None, start):
+        for schedule, coefficient in _SCHEDULES:
+            config = SolverConfig(schedule=schedule, coefficient=coefficient, init=init)
+            for iterations, interval in ((0, 1000), (1, 1000), (60, 1)):
+                result = _assert_certifies_the_step_loop(
+                    inst, dataclasses.replace(config, max_iterations=iterations, check_interval=interval))
+                assert result.segments <= result.iterations_run == iterations
+        expected = StrategyProfile.uniform(inst.n_agents, inst.n_bids) if init is None else init
+        result = run(inst, SolverConfig(max_iterations=0, init=init))
+        assert np.array_equal(result.profile.weights, expected.weights)
+
+
+@pytest.mark.parametrize("schedule, coefficient", _SCHEDULES)
+def test_cumulative_payoffs_rescale_their_masses_exactly(monkeypatch, schedule, coefficient):
+    """A low rescale threshold, a power of 2, rescales the masses in most
+    steps and changes no bit of the result."""
+    config = SolverConfig(schedule=schedule, coefficient=coefficient, max_iterations=600, check_interval=200)
+    inst = _pairs(1, 0.5)
+    plain = run(inst, config)
+    monkeypatch.setattr(fbauction.solver, "_RESCALE_AT", 2.0)
+    rescaled = run(inst, config)
+    assert np.array_equal(rescaled.profile.weights, plain.profile.weights)
+    assert rescaled.trajectory == plain.trajectory
+    assert rescaled.segments == plain.segments
+
+
+def test_cumulative_payoffs_jump_to_keeps_near_the_underflow():
+    """With every value 0 the replies hold at bid 0, so at a constant rate of
+    0.5 each jump runs to the next check, about 1000 steps that keep
+    ~1e-300 of the mass; the masses are rescaled before they overflow."""
+    inst = dataclasses.replace(_pairs(0), values=np.zeros(_pairs(0).n_agents))
+    config = SolverConfig(schedule="constant", coefficient=0.5, max_iterations=6000, check_interval=997)
+    result, reference = run(inst, config), step_loop_run(inst, config)
+    assert result.segments < 20
+    assert [k for k, _eps in result.trajectory] == [k for k, _eps in reference.trajectory]
+    assert np.allclose([eps for _k, eps in result.trajectory], [eps for _k, eps in reference.trajectory],
+                       rtol=0.0, atol=1e-12)
+    assert np.abs(result.profile.weights - reference.profile.weights).max() <= 1e-12
+
+
+def test_run_takes_the_loop_its_engine_names(monkeypatch):
+    taken = []
+    cumulative = fbauction.solver._cumulative_run
+    monkeypatch.setattr(fbauction.solver, "_cumulative_run", lambda *args: taken.append(args[1]) or cumulative(*args))
+    config = SolverConfig(max_iterations=2)
+    for inst in (_pairs(0), random_instance(0).instance, example_3().instance):
+        run(inst, config)
+    assert taken == [_pairs(0)]
 
 
 def test_held_steps_keep_the_product_of_the_step_rates():
