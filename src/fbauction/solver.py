@@ -2,75 +2,81 @@
 
 Every iteration, each agent computes a best reply to the *current* strategy
 profile (the same snapshot for all agents), then mixes a point mass at that
-reply into its strategy. The loop carries the profile as the strict-CDF table
-``F`` that :meth:`PayoffEngine.curves` reads (``F[a, j]`` = P(agent ``a``
-bids below level ``j``)), so the mix is a scale and a suffix add:
+reply into its strategy:
 
-    F_next[a, j] = (1 - eta_k) * F[a, j] + eta_k * [j > best reply of a]
+    w_next[a] = (1 - eta_k) * w[a] + eta_k * e_(best reply of a)
 
-after ``k`` steps. The weights, the row differences of ``F``, are formed only
-at the one check site, which certifies every ``check_interval``-th iterate and
-the last (the start itself when no step runs); both operations are monotone in
-floating point, so the weights are never negative.
-
-With ``eta_k = 1/(k+1)`` the profile is the running empirical frequency of
-past best replies (classical fictitious play); with ``eta_k = 2/(k+2)`` it is
-their frequency weighted by iteration, later replies counting more; with
-constant ``eta`` it is an exponential moving average that progressively
-forgets the initialization.
+after ``k`` steps. With ``eta_k = 1/(k+1)`` the profile is the running
+empirical frequency of past best replies (classical fictitious play); with
+``eta_k = 2/(k+2)`` it is their frequency weighted by iteration, later
+replies counting more; with constant ``eta`` it is an exponential moving
+average that progressively forgets the initialization.
 Replies are picked by :func:`~fbauction.verify.best_replies`, the rule the
 certificate uses, so a run is deterministic for one build.
 
-``run`` advances in *segments*. A segment computes the curves and the best
-replies once, then takes ``m >= 1`` steps with those replies as one update,
+``run`` is one loop of *segments*. A segment takes the replies once, then
+takes ``m >= 1`` steps with those replies as one update,
 
-    F <- keep * F + (1 - keep) * S,    keep = product of (1 - eta_{k+i}) over i < m,
+    w <- keep * w + (1 - keep) * e,    keep = product of (1 - eta_{k+i}) over i < m,
 
-where ``S`` is the step table of the replies. No segment passes a check, so
-the checks fall on the same iterations as in a loop of single steps. While
-the replies hold, ``F`` moves along the line toward ``S``: the piecewise-linear
-path of Brown's fictitious play (Brown 1951; Robinson 1951). Where no
-scenario has two or more rivals (:attr:`PayoffEngine.affine`) the curves are
-affine in ``F``, the second-price tail included, so with ``C = curves(F)`` and
-``C_S = curves(S)`` the first reply switch on that line comes at
+where ``e`` is the pure profile of the replies. No segment passes a check,
+so the one check site certifies every ``check_interval``-th iterate and the
+last (the start itself when no step runs), as a loop of single steps would.
+While the replies hold, the profile moves along the line toward ``e``: the
+piecewise-linear path of Brown's fictitious play (Brown 1951; Robinson
+1951). Where no scenario has two or more rivals (:attr:`PayoffEngine.affine`)
+the curves are affine in the profile, the second-price tail included, so
+with ``C`` its curves and ``C_S`` those of ``e`` the first reply switch on
+that line comes at
 
     lam* = min d0 / (d0 + d1) over the cells with d1 > 0,
     d0 = C[a, b] - C[a, j],  d1 = C_S[a, j] - C_S[a, b],
 
 ``b`` agent ``a``'s reply. The segment then *jumps*: ``m`` is the first step
 count whose line share ``1 - keep`` reaches ``lam*``, at most the steps to the
-next check. A jump costs a second ``curves`` call and a few passes over the
-table, so ``run`` tries one only once the replies have repeated for ``need``
-segments in a row. ``need`` starts at 1, doubles after each try that jumps
-a single step and returns to 1 after a longer jump, so where replies change
-in most steps (example 1, a 200-agent pair auction) tries grow rare. The
-choice rests on what the run observes alone. Jumps round otherwise than
-single steps, so a run that jumps can break an exact payoff tie the other
-way and part from the step loop there. On instances with rival sets of two
-or more the curves are not affine along the line, and every segment is one
-step: the step loop, bit for bit.
+next check. A try costs a few passes over a table, so ``run`` tries one only
+once the replies have repeated for ``need`` segments in a row. ``need``
+starts at 1, doubles after each try that jumps a single step and returns to
+1 after a longer jump, so where replies change in most steps (example 1, a
+200-agent pair auction) tries grow rare. The choice rests on what the run
+observes alone. Jumps round otherwise than single steps, so a run that jumps
+can break an exact payoff tie the other way and part from the step loop
+there. On instances with rival sets of two or more the curves are not affine
+along the line, and every segment is one step: the step loop, bit for bit.
 
-Where the engine is affine and takes the slot sum (``engine.loop`` is
-``"cumulative"``: large sparse pair auctions), ``run`` carries Brown's own
-form of the dynamic in place of ``F``: the cumulative payoffs ``U = sum_i
-mass_i * curves(S_i)`` over the start and every step so far, and the step
-curves ``D = curves(S)`` of the replies held. The curves being affine, ``U``
-is ``M * curves(F)`` for the total mass ``M``, so the replies to ``U`` are
-the replies to ``F``. A step with keep share ``kappa = 1 - eta_k`` adds the
-mass ``M * (1/kappa - 1)``, which makes ``M <- M / kappa``; ``kappa = 0``
-replaces the start and every reply before it. Each segment takes the replies
-to ``U``, books the mass of every reply run that ended to its (agent, bid),
-refreshes ``D`` only in the rows of the agents that face an agent whose
-reply changed (:meth:`PayoffEngine.step_curves`, :meth:`PayoffEngine.facing`)
-and adds ``mass * D`` to ``U``. No step passes over a CDF table; the weights,
-the booked masses over ``M``, are formed at the checks alone. Before ``M``
-would pass ``_RESCALE_AT``, as only the constant schedule's does, all masses
-are scaled down by a power of 2, which rounds nothing, so every schedule,
-coefficient and start runs on this path. A jump's bound needs no ``curves``
-call: the replies hold until the added mass reaches ``(U[a, b] - U[a, j]) /
-(D[a, j] - D[a, b])`` on some cell with ``D[a, j] > D[a, b]``. The replies
-to ``U`` round otherwise than those to ``curves(F)``, so this loop too can
-break an exact payoff tie otherwise than the step loop.
+The loop carries the profile as one of two *states*, by
+:attr:`PayoffEngine.loop`; each takes the replies, gives a jump's keep
+bound, applies ``m`` steps and forms the profile at a check.
+
+- ``"step"`` and ``"jump"``: the strict-CDF table ``F`` that
+  :meth:`PayoffEngine.curves` reads (``F[a, j]`` = P(agent ``a`` bids below
+  level ``j``)). A step is a scale and a suffix add, ``F <- keep * F + (1 -
+  keep) * S`` with ``S`` the step table of the replies, and the weights, the
+  row differences of ``F``, are formed at the checks alone; both operations
+  are monotone in floating point, so the weights are never negative. A
+  jump's keep bound costs a second ``curves`` call, on ``S``.
+- ``"cumulative"`` (the engine is affine and takes the slot sum: large
+  sparse pair auctions): Brown's own form of the dynamic, the cumulative
+  payoffs ``U = sum_i mass_i * curves(S_i)`` over the start and every step
+  so far, and the step curves ``D = curves(S)`` of the replies held. The
+  curves being affine, ``U`` is ``M * curves(F)`` for the total mass ``M``,
+  so the replies to ``U`` are the replies to ``F``. A step with keep share
+  ``kappa`` adds ``mass * D`` to ``U`` at the mass ``M * (1/kappa - 1)``,
+  which makes ``M <- M / kappa``; ``kappa = 0`` replaces the start and
+  every reply before it. Each
+  segment books the mass of every reply run that ended to its (agent, bid)
+  and refreshes ``D`` only in the rows of the agents that face an agent
+  whose reply changed (:meth:`PayoffEngine.step_curves`,
+  :meth:`PayoffEngine.facing`), so no step passes over a CDF table; the
+  weights, the booked masses over ``M``, are formed at the checks alone.
+  Before ``M`` would pass ``_RESCALE_AT``, as only the constant schedule's
+  does, all masses are scaled down by a power of 2, which rounds nothing,
+  so every schedule, coefficient and start takes this state. A jump's bound
+  needs no ``curves`` call: the replies hold until the added mass reaches
+  ``(U[a, b] - U[a, j]) / (D[a, j] - D[a, b])`` on some cell with ``D[a, j]
+  > D[a, b]``. The replies to ``U`` round otherwise than those to
+  ``curves(F)``, so this state too can break an exact payoff tie otherwise
+  than the step loop.
 """
 from __future__ import annotations
 
@@ -84,7 +90,7 @@ from .model import PROB_TOL, AuctionInstance, StrategyProfile, _exact_int, _numb
 from .payoff import PayoffEngine, engine_for
 from .verify import EquilibriumCertificate, best_replies, certify
 
-# the cumulative loop scales its masses down by a power of 2 before their
+# the cumulative payoffs scale their masses down by a power of 2 before their
 # total would pass this one; the constant schedule's total grows that far
 _RESCALE_AT = 2.0 ** 64
 
@@ -107,13 +113,14 @@ class SolverConfig:
     An epsilon certificate is computed every ``check_interval`` iterations and
     after the last one; when ``epsilon_target`` is set the run stops at the
     first check that reaches it. A check costs about one ``curves`` call, as
-    much as one step of the step loop. Where ``run`` jumps over the steps in
+    much as one step on the CDF table. Where ``run`` jumps over the steps in
     which no reply changes (see the module docstring), an iteration costs far
-    less than a step, so there a check costs many iterations; where it
-    carries cumulative payoffs, a step refreshes only the payoff rows a reply
-    change touches, and a check costs about eight steps on a 195-agent pair
-    auction. ``independent_player_cache`` is accepted for compatibility and
-    ignored: the payoff engine has one aggregation row per agent.
+    less than a step, so there a check costs many iterations. On the
+    cumulative payoffs, the other state of the loop, a step refreshes only
+    the payoff rows a reply change touches, and a check costs about eight
+    steps on a 195-agent pair auction. ``independent_player_cache`` is
+    accepted for compatibility and ignored: the payoff engine has one
+    aggregation row per agent.
     """
 
     SCHEDULES = ("harmonic", "linear", "constant")  # a class constant, not a field
@@ -223,22 +230,6 @@ def _held_steps(config: SolverConfig, k: int, keep_bound: float, limit: int) -> 
     return limit, kept
 
 
-def _hold(engine: PayoffEngine, work: dict[str, np.ndarray], curves: np.ndarray, best: np.ndarray,
-          held_table: np.ndarray, config: SolverConfig, k: int, limit: int) -> tuple[int, float]:
-    """How many steps from step ``k`` the replies ``best`` to ``curves`` stay
-    best, at most ``limit``, and the share of the table those steps keep.
-
-    ``held_table`` holds the step table S of ``best``; ``work``, the
-    workspace ``curves`` came from, is overwritten. Along the line ``(1 -
-    lam) F + lam S`` bid ``j`` overtakes reply ``b`` where the steps keep
-    the share :func:`_switch_keep` finds of F.
-    """
-    at_best = best + np.arange(0, curves.size, curves.shape[1])  # flat indices of the replies
-    gaps = curves.take(at_best)[:, None] - curves  # before the next curves call overwrites curves
-    step = engine.curves(held_table, work)
-    return _held_steps(config, k, _switch_keep(gaps, step.take(at_best)[:, None] - step), limit)
-
-
 def _switch_keep(gaps: np.ndarray, step_gaps: np.ndarray) -> float:
     """The largest share of the mass that steps with the replies keep
     before some reply stops being best; overwrites both arguments.
@@ -264,92 +255,122 @@ def _renormalize(rows: np.ndarray, totals: np.ndarray) -> int:
     return int(bad.sum())
 
 
-def _cumulative_run(engine: PayoffEngine, instance: AuctionInstance, config: SolverConfig,
-                    profile: StrategyProfile) -> SolverResult:
-    """``run`` on an engine whose :attr:`~PayoffEngine.loop` is
-    ``"cumulative"``: Brown's cumulative payoffs (see the module docstring),
-    from the start ``profile``."""
-    n = instance.n_agents
-    agents = np.arange(n)
-    # U, the start's curves at mass 1; cdf_table raises ValueError on a wrongly shaped init
-    payoffs = engine.curves(engine.cdf_table(profile.weights))
-    step = np.empty_like(payoffs)  # D, the curves of the replies held
-    spare = np.empty_like(payoffs)  # scratch for the mass add, a jump's bound and the weights at a check
-    booked = np.zeros_like(payoffs)  # the masses of the finished reply runs, by (agent, bid)
-    booked_cells = booked.reshape(-1)  # a view: flat indices book faster than index pairs
-    start_weights, start_mass, total = profile.weights, 1.0, 1.0
-    since = np.empty(n)  # the total mass when each agent's current reply run began
-    best, streak, need = None, 0, 1  # the replies held, and as in run's jump rule
+class _CdfTable:
+    """The strict-CDF table ``F``: the state ``run`` carries where the engine's loop is ``"step"`` or ``"jump"``."""
 
-    renormalizations = skipped = 0
-    trajectory: list[tuple[int, float]] = []
-    last = config.max_iterations
-    k = 0
-    while True:
-        if k == last or k and not k % config.check_interval:
-            if k:
-                weights = spare  # from_matrix copies the weights, so the next step may overwrite spare
-                np.copyto(weights, booked)
-                weights[agents, best] += total - since
-                if start_mass:
-                    weights += start_mass * start_weights
-                weights /= total
-                renormalizations += _renormalize(weights, weights.sum(axis=1))
-                profile = StrategyProfile.from_matrix(weights)
-            certificate = certify(profile, instance)
-            trajectory.append((k, certificate.epsilon))
-            if k == last or config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
-                break
-        # one segment: the replies; book the finished runs and refresh the curves they touch; add mass
-        replies = best_replies(payoffs)
-        changed = agents if best is None else (replies != best).nonzero()[0]
-        if changed.size:
-            if best is None:  # every agent starts its first run
-                rows = agents
-            else:
-                booked_cells[changed * payoffs.shape[1] + best[changed]] += total - since[changed]
-                rows = engine.facing(changed)
-            since[changed] = total
-            engine.step_curves(replies, rows, step)
-            streak = 0
+    def __init__(self, engine: PayoffEngine, weights: np.ndarray):
+        self.engine = engine
+        self.cdf = engine.cdf_table(weights)  # raises ValueError on a wrongly shaped init
+        n, n_bids = weights.shape
+        self.agent_cdf = self.cdf[:n]  # a view; the last row stays all ones
+        # above[b, j] is j > b: row b is a window onto one shared step, read backwards, so no table is built
+        self.above = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n_bids + 1) > n_bids, n_bids + 1)[::-1]
+        self.held = np.ones_like(self.cdf) if engine.affine else None  # the step table of the replies held, to jump
+        self.work = self.curves = self.best = self.previous = None  # previous: the last replies' bytes
+        self.renormalizations = 0
+
+    def replies(self) -> bool:
+        """Take the replies to ``F``; whether they repeat the last segment's, where a jump may follow."""
+        if self.work is None:  # each segment overwrites the last's workspace, whose replies it consumed
+            self.work = self.engine.workspace()
+        self.curves = curves = self.engine.curves(self.cdf, self.work)
+        self.best = best = best_replies(curves)
+        if self.held is None:
+            return False
+        replies = best.tobytes()  # bytes compare in a tenth of the time np.array_equal takes
+        repeated, self.previous = replies == self.previous, replies
+        return repeated
+
+    def keep_bound(self) -> float:
+        """The share of ``F`` the steps keep before some reply stops being best; overwrites the curves."""
+        curves, held = self.curves, self.held
+        held[:len(self.agent_cdf)] = self.above[self.best]
+        at_best = self.best + np.arange(0, curves.size, curves.shape[1])  # flat indices of the replies
+        gaps = curves.take(at_best)[:, None] - curves  # before the next curves call overwrites curves
+        step = self.engine.curves(held, self.work)
+        return _switch_keep(gaps, step.take(at_best)[:, None] - step)
+
+    def advance(self, keep: float, eta: float) -> None:
+        """Take steps that keep ``keep`` of ``F`` and add ``eta``, the step table's share, above each reply."""
+        agent_cdf = self.agent_cdf
+        agent_cdf *= keep
+        np.add(agent_cdf, eta, out=agent_cdf, where=self.above[self.best])
+
+    def profile(self) -> StrategyProfile:
+        """The weights: the row differences of ``F``."""
+        self.work = self.curves = None  # certify makes its own; freeing ours first lowers the peak memory
+        self.renormalizations += _renormalize(self.agent_cdf, self.agent_cdf[:, -1])
+        return StrategyProfile.from_matrix(np.diff(self.agent_cdf, axis=1))
+
+
+class _CumulativePayoffs:
+    """Brown's cumulative payoffs ``U`` and step curves ``D``: the state where the loop is ``"cumulative"``."""
+
+    def __init__(self, engine: PayoffEngine, weights: np.ndarray):
+        self.engine = engine
+        # U, the start's curves at mass 1; cdf_table raises ValueError on a wrongly shaped init
+        self.payoffs = engine.curves(engine.cdf_table(weights))
+        self.step = np.empty_like(self.payoffs)  # D, the curves of the replies held
+        self.spare = np.empty_like(self.payoffs)  # scratch for the mass add, a jump's bound and the weights at a check
+        self.booked = np.zeros(self.payoffs.size)  # the masses of the finished reply runs, by flat (agent, bid)
+        self.start_weights, self.start_mass, self.total = weights, 1.0, 1.0
+        self.agents = np.arange(len(weights))
+        self.since = np.empty(len(weights))  # the total mass when each agent's current reply run began
+        self.best = None
+        self.renormalizations = 0
+
+    def replies(self) -> bool:
+        """Take the replies to ``U``; book the finished runs and refresh ``D`` where they touch it."""
+        best, self.best = self.best, best_replies(self.payoffs)
+        changed = self.agents if best is None else (self.best != best).nonzero()[0]
+        if not changed.size:
+            return True
+        total, since = self.total, self.since
+        if best is None:  # every agent starts its first run
+            rows = self.agents
         else:
-            streak += 1
-        best = replies
-        keep = 1.0 - config.rate(k)
-        if streak >= need and (limit := min(last, (k // config.check_interval + 1) * config.check_interval) - k) > 1:
-            at_best = best + np.arange(0, step.size, step.shape[1])  # flat indices of the replies
-            gaps = np.subtract(payoffs.take(at_best)[:, None], payoffs, out=spare)
-            gaps /= total
-            m, kept = _held_steps(config, k, _switch_keep(gaps, step.take(at_best)[:, None] - step), limit)
-            need = 1 if m > 1 else 2 * need
-            if m > 1:
-                keep = kept
-                k += m - 1
-                skipped += m - 1
+            self.booked[changed * self.payoffs.shape[1] + best[changed]] += total - since[changed]
+            rows = self.engine.facing(changed)
+        since[changed] = total
+        self.engine.step_curves(self.best, rows, self.step)
+        return False
+
+    def keep_bound(self) -> float:
+        """The share of the mass the steps keep before some reply to ``U`` stops being best."""
+        payoffs, step = self.payoffs, self.step
+        at_best = self.best + np.arange(0, step.size, step.shape[1])  # flat indices of the replies
+        gaps = np.subtract(payoffs.take(at_best)[:, None], payoffs, out=self.spare)
+        gaps /= self.total
+        return _switch_keep(gaps, step.take(at_best)[:, None] - step)
+
+    def advance(self, keep: float, _eta: float) -> None:
+        """Take steps that keep ``keep`` of the mass: add ``D`` at the mass that leaves that share."""
         if not keep:  # the step replaces the start and every reply before it
-            np.copyto(payoffs, step)
-            booked.fill(0.0)
-            since.fill(0.0)
-            start_mass, total = 0.0, 1.0
-        else:
-            if total > _RESCALE_AT * keep:  # total / keep would pass it: first scale to a new total near 1
-                scale = math.ldexp(1.0, math.frexp(keep)[1] - math.frexp(total)[1])  # a power of 2: exact
-                for masses in (payoffs, booked, since):
-                    masses *= scale
-                start_mass, total = start_mass * scale, total * scale
-            added = total * (1.0 - keep) / keep
-            payoffs += np.multiply(step, added, out=spare)
-            total += added
-        k += 1
+            np.copyto(self.payoffs, self.step)
+            self.booked.fill(0.0)
+            self.since.fill(0.0)
+            self.start_mass, self.total = 0.0, 1.0
+            return
+        total = self.total
+        if total > _RESCALE_AT * keep:  # total / keep would pass it: first scale to a new total near 1
+            scale = math.ldexp(1.0, math.frexp(keep)[1] - math.frexp(total)[1])  # a power of 2: exact
+            for masses in (self.payoffs, self.booked, self.since):
+                masses *= scale
+            self.start_mass, total = self.start_mass * scale, total * scale
+        added = total * (1.0 - keep) / keep
+        self.payoffs += np.multiply(self.step, added, out=self.spare)
+        self.total = total + added
 
-    return SolverResult(
-        profile=profile,
-        iterations_run=k,
-        certificate=certificate,
-        trajectory=tuple(trajectory),
-        renormalizations=renormalizations,
-        segments=k - skipped,
-    )
+    def profile(self) -> StrategyProfile:
+        """The weights: the booked masses, the runs held and the start's mass, over the total."""
+        weights = self.spare  # from_matrix copies the weights, so the next step may overwrite spare
+        np.copyto(weights, self.booked.reshape(weights.shape))
+        weights[self.agents, self.best] += self.total - self.since
+        if self.start_mass:
+            weights += self.start_mass * self.start_weights
+        weights /= self.total
+        self.renormalizations += _renormalize(weights, weights.sum(axis=1))
+        return StrategyProfile.from_matrix(weights)
 
 
 def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
@@ -360,62 +381,35 @@ def run(instance: AuctionInstance, config: SolverConfig) -> SolverResult:
     returned profile.
     """
     engine = engine_for(instance)
-    n, n_bids = instance.n_agents, instance.n_bids
-    profile = StrategyProfile.uniform(n, n_bids) if config.init is None else config.init
-    if engine.loop == "cumulative":
-        return _cumulative_run(engine, instance, config, profile)
-    cdf = engine.cdf_table(profile.weights)  # raises ValueError on a wrongly shaped init
-    agent_cdf = cdf[:n]  # a view; the last row stays all ones
-    # above[b, j] is j > b: row b is a window onto one shared step, read backwards, so no table is built
-    above = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n_bids + 1) > n_bids, n_bids + 1)[::-1]
-    held_table = np.ones_like(cdf) if engine.affine else None  # the step table of the replies held, to jump
-    # the last segment's replies, the segments in a row that repeated them, and how many must before a jump
-    previous, streak, need = None, 0, 1
-    work = None  # the curves workspace: each segment overwrites the last's, which its replies consumed
-
-    renormalizations = skipped = 0  # skipped: the steps jumped over, each segment's first step aside
+    profile = StrategyProfile.uniform(instance.n_agents, instance.n_bids) if config.init is None else config.init
+    state = (_CumulativePayoffs if engine.loop == "cumulative" else _CdfTable)(engine, profile.weights)
+    replies, keep_bound, advance = state.replies, state.keep_bound, state.advance
+    rate, interval, last, target = config.rate, config.check_interval, config.max_iterations, config.epsilon_target
+    streak, need = 0, 1  # the segments in a row that repeated their replies, and how many must before a jump
+    skipped = 0  # the steps jumped over, each segment's first step aside
     trajectory: list[tuple[int, float]] = []
-    last = config.max_iterations
     k = 0  # best-reply steps taken so far
     while True:
-        if k == last or k and not k % config.check_interval:
-            work = curves = None  # certify makes its own; freeing ours first lowers the peak memory
+        if k == last or k and not k % interval:
             if k:  # the start is certified as given
-                renormalizations += _renormalize(agent_cdf, agent_cdf[:, -1])
-                profile = StrategyProfile.from_matrix(np.diff(agent_cdf, axis=1))
+                profile = state.profile()
             certificate = certify(profile, instance)
             trajectory.append((k, certificate.epsilon))
-            if k == last or config.epsilon_target is not None and certificate.epsilon <= config.epsilon_target:
+            if k == last or target is not None and certificate.epsilon <= target:
                 break
-        if work is None:
-            work = engine.workspace()
-            bound = min(last, (k // config.check_interval + 1) * config.check_interval)  # the next check
         # one segment: the replies, then one step with them, or m steps in one update where it jumps
-        curves = engine.curves(cdf, work)
-        best = best_replies(curves)
-        eta = config.rate(k)
+        streak = streak + 1 if replies() else 0  # replies repeat only where the engine is affine
+        eta = rate(k)  # the CDF table adds eta itself on a single step: 1 - keep can differ in the last bit
         keep = 1.0 - eta
-        if held_table is not None:
-            replies = best.tobytes()  # bytes compare in a tenth of the time np.array_equal takes
-            streak = streak + 1 if replies == previous else 0
-            previous = replies
-            if streak >= need and bound - k > 1:
-                held_table[:n] = above[best]
-                m, kept = _hold(engine, work, curves, best, held_table, config, k, bound - k)
-                need = 1 if m > 1 else 2 * need  # after a jump of one step, wait for a longer run of replies
-                if m > 1:
-                    keep, eta = kept, 1.0 - kept
-                    k += m - 1
-                    skipped += m - 1
-        agent_cdf *= keep
-        np.add(agent_cdf, eta, out=agent_cdf, where=above[best])
+        if streak >= need and (limit := min(last, (k // interval + 1) * interval) - k) > 1:
+            m, kept = _held_steps(config, k, keep_bound(), limit)
+            need = 1 if m > 1 else 2 * need  # after a jump of one step, wait for a longer run of replies
+            if m > 1:
+                keep, eta = kept, 1.0 - kept
+                k += m - 1
+                skipped += m - 1
+        advance(keep, eta)
         k += 1
 
-    return SolverResult(
-        profile=profile,
-        iterations_run=k,
-        certificate=certificate,
-        trajectory=tuple(trajectory),
-        renormalizations=renormalizations,
-        segments=k - skipped,
-    )
+    return SolverResult(profile=profile, iterations_run=k, certificate=certificate, trajectory=tuple(trajectory),
+                        renormalizations=state.renormalizations, segments=k - skipped)

@@ -40,6 +40,13 @@ def _instance(values, member_sets, probs, grid_bids, alpha=1.0):
     return AuctionInstance(np.array(values, dtype=float), scenarios, BidGrid(np.array(grid_bids, dtype=float)), PaymentRule(alpha))
 
 
+def _pairs_named(seed):
+    """A random pair auction of 200 agents and 400 pairs, as ``perfbench``'s ``pairs-200x400``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # agents that draw no pair are dropped with a warning
+        return random_instance(seed, 200, 400)
+
+
 def _step(profile, config, inst):
     """One fictitious-bidding update of ``profile``: ``run`` from it for a single iteration."""
     return run(inst, dataclasses.replace(config, init=profile, max_iterations=1)).profile
@@ -198,18 +205,23 @@ def test_run_is_deterministic():
     assert first.iterations_run == second.iterations_run == 3000
 
 
-def test_run_stops_at_epsilon_target():
-    named = example_1()
+@pytest.mark.parametrize("named, interval, loop", [(example_3(), 200, "step"), (example_1(), 200, "jump"),
+                                                   (_pairs_named(0), 50, "cumulative")],
+                         ids=["example-3", "example-1", "pairs-200x400"])
+def test_run_stops_at_epsilon_target(named, interval, loop):
+    """Each loop form stops at the first check that reaches the target."""
+    assert engine_for(named.instance).loop == loop
     config = dataclasses.replace(
-        named.config, max_iterations=50_000, check_interval=200, epsilon_target=0.05
+        named.config, max_iterations=50_000, check_interval=interval, epsilon_target=0.05
     )
     result = run(named.instance, config)
     assert result.iterations_run < 50_000
-    assert result.iterations_run % 200 == 0
+    assert result.iterations_run % interval == 0
     assert result.certificate.epsilon <= 0.05
-    # trajectory samples every interval until the stop
+    # trajectory samples every interval until the stop, and only the last sample reaches the target
     ticks = [k for k, _ in result.trajectory]
-    assert ticks == list(range(200, result.iterations_run + 1, 200))
+    assert ticks == list(range(interval, result.iterations_run + 1, interval))
+    assert all(eps > 0.05 for _k, eps in result.trajectory[:-1])
 
 
 def test_run_rejects_invalid_instance():
@@ -231,13 +243,6 @@ def test_simplex_preserved_across_many_steps():
 
 def _at_half(named):
     return dataclasses.replace(named, instance=dataclasses.replace(named.instance, rule=PaymentRule(0.5)))
-
-
-def _pairs_named(seed):
-    """A random pair auction of 200 agents and 400 pairs, as ``perfbench``'s ``pairs-200x400``."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # agents that draw no pair are dropped with a warning
-        return random_instance(seed, 200, 400)
 
 
 def _harmonic(named):
@@ -471,13 +476,16 @@ def test_cumulative_payoffs_jump_to_keeps_near_the_underflow():
 
 
 def test_run_takes_the_loop_its_engine_names(monkeypatch):
+    """``run`` carries the cumulative payoffs exactly where the engine's loop is ``"cumulative"``."""
     taken = []
-    cumulative = fbauction.solver._cumulative_run
-    monkeypatch.setattr(fbauction.solver, "_cumulative_run", lambda *args: taken.append(args[1]) or cumulative(*args))
+    for name in ("_CdfTable", "_CumulativePayoffs"):
+        state = getattr(fbauction.solver, name)
+        monkeypatch.setattr(fbauction.solver, name,
+                            lambda engine, weights, state=state: taken.append(state.__name__) or state(engine, weights))
     config = SolverConfig(max_iterations=2)
     for inst in (_pairs(0), random_instance(0).instance, example_3().instance):
         run(inst, config)
-    assert taken == [_pairs(0)]
+    assert taken == ["_CumulativePayoffs", "_CdfTable", "_CdfTable"]
 
 
 def test_held_steps_keep_the_product_of_the_step_rates():
@@ -566,16 +574,17 @@ def test_explicit_initialization_is_respected():
         run(named.instance, dataclasses.replace(named.config, init=bad, max_iterations=1))
 
 
-def test_drift_guard_renormalizes_rows_off_the_simplex(monkeypatch):
+@pytest.mark.parametrize("named", [example_1(), _pairs_named(0)], ids=["example-1", "pairs-200x400"])
+def test_drift_guard_renormalizes_rows_off_the_simplex(monkeypatch, named):
     # rows that sum to 1 + 5e-10 pass PROB_TOL; with the guard's tolerance at
-    # 1e-12 every row is off the simplex at the one check, after 10 steps
-    named = example_1()
+    # 1e-12 every row is off the simplex at the one check, after 10 steps, on
+    # the CDF table (example 1) and on the cumulative payoffs (the pair auction)
     inst = named.instance
     start = StrategyProfile.uniform(inst.n_agents, inst.n_bids).weights * (1.0 + 5e-10)
     config = SolverConfig(schedule="constant", coefficient=0.01, max_iterations=10, check_interval=10,
                           init=StrategyProfile(start))
     monkeypatch.setattr(fbauction.solver, "PROB_TOL", 1e-12)
     result = run(inst, config)
-    assert result.renormalizations == 4
+    assert result.renormalizations == inst.n_agents
     assert np.abs(result.profile.weights.sum(axis=1) - 1.0).max() <= 1e-15
     assert result.certificate.epsilon == certify(result.profile, inst).epsilon
