@@ -36,12 +36,10 @@ from .model import (AuctionInstance, InvalidInstanceError, Scenario, StrategyPro
 
 
 # The slot sum beats the dense BLAS product below SLOT_SUM_DENSITY of nonzero
-# cells in the agents x columns aggregation matrix, and below half that share
-# once an agents x levels table outgrows SLOT_SUM_CACHE_CELLS (800 kB), where
-# its gathers and adds run from memory rather than the L2 cache: the crossover
-# measured with BLAS at 1 thread on a 2-core Xeon
+# cells in the agents x columns aggregation matrix: the crossover measured with
+# BLAS at 1 thread on a 2-core Xeon. It builds no table beyond its workspace,
+# so it also serves wherever that matrix would exceed the table limit
 SLOT_SUM_DENSITY = 1 / 32
-SLOT_SUM_CACHE_CELLS = 100_000
 
 
 class ConditionalScenarioTable(tuple):
@@ -100,16 +98,17 @@ def _sorted_entries(entries: list[tuple[int, int, float]]) -> tuple[np.ndarray, 
     return agent[by_agent], col[by_agent], weight[by_agent]
 
 
-def _slot_sum_plan(n: int, agent: np.ndarray, col: np.ndarray, weight: np.ndarray, levels: int):
+def _slot_sum_plan(n: int, agent: np.ndarray, col: np.ndarray, weight: np.ndarray):
     """The slot sum's layout of the :func:`_sorted_entries`.
 
     The agents are ranked by their entry count, descending and stable. Slot
     ``s`` holds the ``s``-th column (ascending) of every agent with more than
     ``s`` entries, in rank order, so it covers a prefix of the ranking.
-    Returns one ``(columns, weights)`` pair per slot, each weight repeated
-    over the levels (a multiply by a broadcast weight column took 1.5x as
-    long on a 195-agent pair auction), and each agent's rank, its row in
-    slot 0.
+    Returns one ``(columns, weights)`` pair per slot, the weights a
+    ``(size, 1)`` column that broadcasts over the levels: each product is
+    the same elementwise multiply as against a row of repeated weights, so
+    the bits are too, and no nonzeros x levels table is built. Also each
+    agent's rank, its row in slot 0.
     """
     counts = np.bincount(agent, minlength=n)
     rank = np.empty(n, dtype=np.intp)
@@ -118,7 +117,7 @@ def _slot_sum_plan(n: int, agent: np.ndarray, col: np.ndarray, weight: np.ndarra
     layout = np.lexsort((rank[agent], slot))  # slot by slot, each in rank order
     columns, weight = col[layout].astype(np.intp), weight[layout]
     sizes = np.bincount(slot)
-    slots = tuple((columns[start:start + size], np.repeat(weight[start:start + size], levels).reshape(size, levels))
+    slots = tuple((columns[start:start + size], weight[start:start + size, None])
                   for start, size in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
     return slots, rank
 
@@ -162,11 +161,10 @@ class PayoffEngine:
     agent's ``s``-th column (see :func:`_slot_sum_plan`), and each slot's
     weighted rows are gathered and added onto the prefix of slot 0 they
     cover. Each agent's terms are thus summed in ascending column order,
-    with no BLAS. "Few" is below ``SLOT_SUM_DENSITY`` of the cells, or half
-    that once an agents x levels table exceeds ``SLOT_SUM_CACHE_CELLS``;
-    denser matrices take the matrix product, which was the faster of the two
-    there. Where only one of the two fits the table limit (``qmat``, or the
-    slot sum's weight rows, nonzero weights x levels), the engine takes it.
+    with no BLAS. "Few" is below ``SLOT_SUM_DENSITY`` of the cells; denser
+    matrices take the matrix product, which was the faster of the two there,
+    unless ``qmat`` would exceed the table limit: the slot sum builds no
+    table beyond its workspace, so it serves there too.
 
     When some scenario has two or more rivals and the scenario distribution
     is a product over players (see :func:`_player_labels`), the rows are
@@ -178,10 +176,10 @@ class PayoffEngine:
 
     ``n_groups`` counts the distinct conditional structures (rival sets and
     their probabilities) among the agents; ``dedup`` is accepted for
-    compatibility and ignored. When ``qmat`` and the weight rows both exceed
-    the table limit, or a workspace block of products (2 x rival sets x
-    levels, or 3 x players x levels) does, the engine raises
-    :class:`InvalidInstanceError`; the message names the faster path's table.
+    compatibility and ignored. When a workspace block of products (2 x
+    rival sets x levels, or 3 x players x levels) exceeds the table limit,
+    the engine raises :class:`InvalidInstanceError`; it refuses nothing
+    else, and never an instance with one rival at most per scenario.
 
     ``curves`` takes the profile as its strict-CDF table (layout in
     :meth:`cdf_table`), whose row differences are the strategy weights.
@@ -236,32 +234,21 @@ class PayoffEngine:
             padded = [key + (n,) * (width - len(key)) for key in column]  # in column order
             slots = tuple(np.array(slot, dtype=np.intp) for slot in zip(*padded))
             n_columns = len(column)
-        levels = bids.size + 1
-        # the table each aggregation builds: qmat, or the slot sum's weight rows
-        problems = {False: _table_problem((n, "agents"), (n_columns, name)),
-                    True: _table_problem((len(entries), "nonzero weights"), (levels, "levels"))}
-        density = SLOT_SUM_DENSITY if n * levels <= SLOT_SUM_CACHE_CELLS else SLOT_SUM_DENSITY / 2
-        sparse = len(entries) < density * n * n_columns
-        if problems[sparse] and not problems[not sparse]:  # the slower one, where only it fits
-            sparse = not sparse
-        problem = problems[sparse]
-        if slots and not problem:  # the workspace's block of products, gathered rows and mixtures
-            problem = _table_problem((2 if mixing is None else 3, "product buffers"), (n_columns, name),
-                                     (levels, "levels"))
+        # the slot sum builds no table beyond its workspace, so it serves where qmat would not fit
+        sparse = len(entries) < SLOT_SUM_DENSITY * n * n_columns or bool(_table_problem((n, "agents"), (n_columns, name)))
+        # the workspace's block of products, gathered rows and mixtures: the engine's only refusal
+        problem = slots and _table_problem((2 if mixing is None else 3, "product buffers"), (n_columns, name),
+                                           (bids.size + 1, "levels"))
         if problem:
             raise InvalidInstanceError([problem])
-        entries = [(a, column[key], weight) for a, key, weight in entries]
-        self._pure_plan = None
+        agent, col, weight = _sorted_entries([(a, column[key], weight) for a, key, weight in entries])
         if sparse:
-            sorted_entries = _sorted_entries(entries)
-            self._qmat, self._slot_sum = None, _slot_sum_plan(n, *sorted_entries, levels)
-            if not slots:  # one rival at most: the columns are the agents
-                self._pure_plan = _pure_plan(n, *sorted_entries, bids)
+            self._qmat, self._slot_sum = None, _slot_sum_plan(n, agent, col, weight)
         else:
-            qmat = np.zeros((n, n_columns))
-            for a, col, weight in entries:
-                qmat[a, col] = weight
-            self._qmat, self._slot_sum = qmat, None
+            self._qmat, self._slot_sum = np.zeros((n, n_columns)), None
+            self._qmat[agent, col] = weight  # each (agent, column) pair is one entry
+        # one rival at most, so the columns are the agents: the cumulative loop's layout
+        self._pure_plan = _pure_plan(n, agent, col, weight, bids) if sparse and not slots else None
 
         self._n = n
         self._n_bids = bids.size

@@ -363,20 +363,19 @@ def test_solve_grid_steps_above_the_table_limit_exits_2(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-def test_solve_oversized_aggregation_matrix_exits_2(tmp_path, capsys, monkeypatch):
+def test_solve_oversized_aggregation_matrix_takes_the_slot_sum(tmp_path, monkeypatch):
     # example 1 on a 2-level grid: 4 agents x 2 levels fit the limit, the
-    # engine's 4 agents x 5 rival sets do not (a file, because the bundled
-    # builder's 401-level grid would not fit)
+    # engine's 4 agents x 5 CDF rows do not, so it sums each agent's rows
+    # itself (a file, because the bundled builder's 401-level grid would not fit)
     named = example_1().instance
     path = tmp_path / "ex1.json"
     grid = fbauction.BidGrid.uniform(1.0, 1)
     save_instance(fbauction.AuctionInstance(named.values, named.scenarios, grid, named.rule), path)
     monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 10)
     out = tmp_path / "out"
-    assert main(["solve", "--file", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["invalid instance: 4 agents x 5 rival sets exceed the 10-cell table limit"]
-    assert not out.exists()
+    assert main(["solve", "--file", str(path), "--max-iters", "100", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["engine"] == {"aggregation": "slot sum", "loop": "cumulative"}
 
 
 def test_solve_oversized_rival_product_block_exits_2(tmp_path, capsys, monkeypatch):

@@ -91,16 +91,17 @@ def test_conditional_scenarios_match_the_per_agent_filter():
                           for a in range(inst.n_agents))
 
 
-def test_engine_rejects_an_aggregation_matrix_above_the_table_limit(monkeypatch):
-    # 4 agents x 2 grid levels pass validation; qmat is 4 agents x 5 rival sets
+def test_engine_takes_the_slot_sum_where_the_aggregation_matrix_exceeds_the_table_limit(monkeypatch):
+    # 4 agents x 2 grid levels pass validation; qmat would be 4 agents x 5 CDF
+    # rows, and the slot sum builds no table beyond its workspace
     named = example_1()
     inst = AuctionInstance(named.instance.values, named.instance.scenarios, BidGrid.uniform(1.0, 1), named.instance.rule)
+    profile = random_profile(np.random.default_rng(0), inst.n_agents, inst.n_bids)
     monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 10)
-    with pytest.raises(InvalidInstanceError) as raised:
-        PayoffEngine(inst)
-    assert raised.value.problems == ["4 agents x 5 rival sets exceed the 10-cell table limit"]
-    with pytest.raises(InvalidInstanceError):
-        run(inst, named.config)
+    engine = PayoffEngine(inst)
+    assert (engine.aggregation, engine.loop) == ("slot sum", "cumulative")
+    assert np.abs(engine.curves(engine.cdf_table(profile.weights)) - brute_force_curves(profile, inst)).max() <= 1e-12
+    assert run(inst, SolverConfig(max_iterations=100)).iterations_run == 100
 
 
 def test_engine_rejects_a_rival_product_block_above_the_table_limit(monkeypatch):
@@ -388,7 +389,7 @@ def test_facing_names_the_agents_that_meet_the_given_ones():
 
 def test_a_pair_auction_beyond_the_dense_table_limit_solves():
     # as a dense matrix its 4891 agents x 4892 CDF rows exceed the table
-    # limit; the slot sum's weight rows are 19 992 nonzeros x 102 levels
+    # limit; the slot sum builds no table beyond its workspace
     inst = _random_pairs(0, 5000, 10_000)
     result = run(inst, SolverConfig(max_iterations=20))
     assert result.iterations_run == 20
@@ -396,37 +397,32 @@ def test_a_pair_auction_beyond_the_dense_table_limit_solves():
 
 
 def test_the_engine_takes_the_aggregation_that_fits_the_table_limit(monkeypatch):
-    # pairs-200x400: the slot sum's weight rows are 794 nonzeros x 102
-    # levels, the dense matrix 195 agents x 196 CDF rows
-    inst = _random_pairs(0, 200, 400)
-    profile = _few_bid_profile(np.random.default_rng(0), inst.n_agents, inst.n_bids)
-    table = PayoffEngine(inst).cdf_table(profile.weights)
-    slot_sum = PayoffEngine(inst).curves(table)
-    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 794 * 102 - 1)
-    engine = PayoffEngine(inst)
-    assert engine._slot_sum is None and engine._qmat.shape == (195, 196)
-    assert np.abs(engine.curves(table) - slot_sum).max() <= 1e-15 * np.abs(inst.values).max()
-    limit = 195 * 196 - 1  # neither fits: the message names the faster path's table
-    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", limit)
-    with pytest.raises(InvalidInstanceError) as raised:
-        PayoffEngine(inst)
-    assert raised.value.problems == [f"794 nonzero weights x 102 levels exceed the {limit}-cell table limit"]
-    with pytest.raises(InvalidInstanceError):
-        run(inst, SolverConfig(max_iterations=1))
-    # a 10-agent pair auction on a 2-bid grid (3 levels) prefers its dense matrix;
-    # below that matrix's size it takes the slot sum, whose rows still fit
-    small = _random_pairs(0, 10, 20, steps=1)
-    nonzeros = np.count_nonzero(PayoffEngine(small)._qmat)
-    monkeypatch.setattr(fbauction.model, "MAX_TABLE_CELLS", 3 * nonzeros)
-    assert PayoffEngine(small)._slot_sum is not None
+    # a 10-agent pair auction prefers its dense 10 x 11 matrix; below that
+    # matrix's size it takes the slot sum, whose curves match the product's
+    base = _random_pairs(0, 10, 20)
+    profile = _few_bid_profile(np.random.default_rng(0), base.n_agents, base.n_bids)
+    scale = np.abs(base.values).max()
+    for alpha in (1.0, 0.5):
+        inst = _at_alpha(base, alpha)
+        dense = PayoffEngine(inst)
+        assert dense.aggregation == "dense" and dense._qmat.shape == (10, 11)
+        table = dense.cdf_table(profile.weights)
+        with monkeypatch.context() as patch:
+            patch.setattr(fbauction.model, "MAX_TABLE_CELLS", 10 * 11 - 1)
+            engine = PayoffEngine(inst)
+        assert (engine.aggregation, engine.loop) == ("slot sum", "cumulative")
+        curves = engine.curves(table)
+        assert np.abs(curves - dense.curves(table)).max() <= 1e-15 * scale
+        assert np.abs(curves - brute_force_curves(profile, inst)).max() <= 1e-12
 
 
-def test_a_sparse_pair_auction_on_a_fine_grid_keeps_the_matrix_product():
-    # 984 agents on 3000 steps: the slot sum's weight rows, 3998 nonzeros x
-    # 3001 levels, exceed the table limit; the dense 984 x 985 matrix fits
-    inst = _random_pairs(0, 1000, 2000, steps=3000)
-    engine = PayoffEngine(inst)
-    assert engine._slot_sum is None and engine._qmat.shape == (984, 985)
+def test_sparse_pair_auctions_on_fine_grids_take_the_slot_sum():
+    # 984 agents on 3000 steps: 3998 nonzeros in a 984 x 985 matrix (1/242),
+    # which fits the table limit; and 195 agents on 800 steps: 794 nonzeros
+    # in 195 x 196 (1/48). Below 1/32 the slot sum serves whatever the grid's width
+    for inst in (_random_pairs(0, 1000, 2000, steps=3000), _random_pairs(0, 200, 400, steps=800)):
+        engine = PayoffEngine(inst)
+        assert (engine.aggregation, engine.loop) == ("slot sum", "cumulative")
 
 
 def test_slot_sum_over_player_mixtures():
